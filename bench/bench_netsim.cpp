@@ -130,6 +130,11 @@ struct Opts {
   /// budget — the world-size floors are only enforced at full scale.
   double census_scale = 0.5;
 
+  /// The world every golden digest below was recorded on: the default
+  /// options. Verification passes always run it, whatever the timed
+  /// passes were asked to do.
+  static Opts pinned() { return Opts{}; }
+
   static Opts parse(int argc, char** argv) {
     Opts o;
     for (int i = 1; i < argc; ++i) {
@@ -253,6 +258,24 @@ struct RunResult {
   std::uint64_t route_hash = kFnvBasis;
   double seconds = 0.0;
 };
+
+/// Packets per traced verification pass (the pinned configuration).
+constexpr std::uint64_t kVerifyPackets = 50000;
+
+/// One digest over everything a verification pass observed: every
+/// SimCounters field, the trace hash, and the router-hop hash.
+std::uint64_t run_digest(const RunResult& r) {
+  const netsim::SimCounters& c = r.counters;
+  std::uint64_t h = kFnvBasis;
+  for (const std::uint64_t v :
+       {c.sent, c.delivered, c.dropped_sav, c.dropped_loss,
+        c.dropped_no_route, c.ttl_expired, c.icmp_generated, c.redirected,
+        c.dropped_outage, c.jittered, c.reordered, c.duplicated, c.corrupted,
+        c.icmp_unreachable_suppressed, r.trace_hash, r.route_hash}) {
+    h = fnv1a64(h, v);
+  }
+  return h;
+}
 
 void attach_trace_tap(Simulator& sim, RunResult& r) {
   sim.add_tap([&r](netsim::TapEvent ev, const netsim::Packet& p) {
@@ -707,6 +730,9 @@ struct WorkloadReport {
   double fast_pps = 0.0;
   double speedup = 0.0;
   bool identical = false;
+  /// Digest of the verification pass (run_digest), for the rows that
+  /// pin one.
+  std::uint64_t digest = 0;
   bool has_cache_stats = false;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -752,6 +778,17 @@ struct WorkloadReport {
   double coverage_loss5_r2 = 0.0;
 };
 
+// Golden run_digest values of each A/B row's verification pass on the
+// pinned configuration (Opts::pinned(), kVerifyPackets packets), pinned
+// while both sides of every pair still existed and agreed on them.
+constexpr std::uint64_t kRepeatedDestinationDigest = 0xe587936ab23ee24ull;
+constexpr std::uint64_t kMixedAnycastDigest = 0xbd8d0eb7c4f31800ull;
+constexpr std::uint64_t kAddrPlaneDigest = 0xe42dcdcbd38fbd99ull;
+constexpr std::uint64_t kSchedBurstDigest = 0xf831af05cd1d491aull;
+constexpr std::uint64_t kSchedTimerMixDigest = 0x45b2a625ec2d84fbull;
+constexpr std::uint64_t kArenaCodecDigest = 0xb657f0cd411a634ull;
+constexpr std::uint64_t kBatchCohortDigest = 0x1b289ebfce51fcbull;
+
 /// Shared A/B scaffolding: times both modes (no tap in the hot loop,
 /// best-of-3 to guard against scheduler noise on shared machines),
 /// then re-runs both with a full trace tap and requires the traced
@@ -760,7 +797,8 @@ struct WorkloadReport {
 template <typename RunFn>
 WorkloadReport ab_workload(const Opts& opts, const std::string& name,
                            const std::string& baseline_label,
-                           const std::string& fast_label, RunFn run) {
+                           const std::string& fast_label,
+                           std::uint64_t golden, RunFn run) {
   constexpr int kRepeats = 3;
   WorkloadReport rep;
   rep.name = name;
@@ -768,20 +806,21 @@ WorkloadReport ab_workload(const Opts& opts, const std::string& name,
   rep.fast_label = fast_label;
   RunResult baseline, fast;
   for (int rep_i = 0; rep_i < kRepeats; ++rep_i) {
-    auto b = run(/*fast=*/false, /*traced=*/false, opts.packets);
-    auto f = run(/*fast=*/true, /*traced=*/false, opts.packets);
+    auto b = run(opts, /*fast=*/false, /*traced=*/false, opts.packets);
+    auto f = run(opts, /*fast=*/true, /*traced=*/false, opts.packets);
     if (rep_i == 0 || b.seconds < baseline.seconds) baseline = std::move(b);
     if (rep_i == 0 || f.seconds < fast.seconds) fast = std::move(f);
   }
   rep.baseline_pps = static_cast<double>(opts.packets) / baseline.seconds;
   rep.fast_pps = static_cast<double>(opts.packets) / fast.seconds;
   rep.speedup = rep.fast_pps / rep.baseline_pps;
-  const std::uint64_t vpackets = std::min<std::uint64_t>(opts.packets, 50000);
-  const auto vb = run(false, true, vpackets);
-  const auto vf = run(true, true, vpackets);
-  rep.identical = counters_equal(vb.counters, vf.counters) &&
-                  vb.trace_hash == vf.trace_hash &&
-                  vb.route_hash == vf.route_hash &&
+  // The traced pair runs the pinned configuration, so both sides must
+  // reproduce the row's golden digest whatever the timed passes ran.
+  const Opts pinned = Opts::pinned();
+  const auto vb = run(pinned, false, true, kVerifyPackets);
+  const auto vf = run(pinned, true, true, kVerifyPackets);
+  rep.digest = run_digest(vf);
+  rep.identical = run_digest(vb) == golden && rep.digest == golden &&
                   counters_equal(baseline.counters, fast.counters) &&
                   baseline.route_hash == fast.route_hash;
   rep.cache_hits = fast.cache_stats.hits;
@@ -793,8 +832,9 @@ WorkloadReport bench_workload(const Opts& opts, const std::string& name,
                               bool anycast) {
   WorkloadReport rep = ab_workload(
       opts, name, "uncached", "cached",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_workload(opts, anycast, /*cached=*/fast, traced, packets);
+      anycast ? kMixedAnycastDigest : kRepeatedDestinationDigest,
+      [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
+        return run_workload(o, anycast, /*cached=*/fast, traced, packets);
       });
   rep.has_cache_stats = true;
   return rep;
@@ -803,8 +843,9 @@ WorkloadReport bench_workload(const Opts& opts, const std::string& name,
 WorkloadReport bench_addr_plane_workload(const Opts& opts) {
   return ab_workload(
       opts, "addr_plane_lookup", "hash_map", "flat_table",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_addr_plane_workload(opts, /*flat=*/fast, traced, packets);
+      kAddrPlaneDigest,
+      [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
+        return run_addr_plane_workload(o, /*flat=*/fast, traced, packets);
       });
 }
 
@@ -812,8 +853,9 @@ WorkloadReport bench_sched_workload(const Opts& opts, const std::string& name,
                                     bool timer_mix) {
   return ab_workload(
       opts, name, "closure", "typed",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_sched_workload(opts, timer_mix, /*typed=*/fast, traced,
+      timer_mix ? kSchedTimerMixDigest : kSchedBurstDigest,
+      [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
+        return run_sched_workload(o, timer_mix, /*typed=*/fast, traced,
                                   packets);
       });
 }
@@ -1299,8 +1341,9 @@ RunResult run_batch_workload(const Opts& opts, bool fast, bool traced,
 WorkloadReport bench_batch_workload(const Opts& opts) {
   return ab_workload(
       opts, "batch_delivery_cohort", "scalar_heap", "batched_arena",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_batch_workload(opts, fast, traced, packets);
+      kBatchCohortDigest,
+      [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
+        return run_batch_workload(o, fast, traced, packets);
       });
 }
 
@@ -1384,7 +1427,9 @@ RunResult run_codec_workload(bool arena, bool traced,
 
 WorkloadReport bench_codec_workload(const Opts& opts) {
   return ab_workload(opts, "arena_codec_serve", "heap", "arena",
-                     [&](bool fast, bool traced, std::uint64_t packets) {
+                     kArenaCodecDigest,
+                     [&](const Opts&, bool fast, bool traced,
+                         std::uint64_t packets) {
                        return run_codec_workload(fast, traced, packets);
                      });
 }
@@ -1678,6 +1723,9 @@ void print_report(const WorkloadReport& r) {
               << " -> " << r.scanner_busy_share_multi << " (max-busy: "
               << (r.scanner_is_max_busy_multi ? "STILL SCANNER" : "no")
               << ")\n";
+  }
+  if (r.digest != 0) {
+    std::cout << "  digest:   " << std::hex << r.digest << std::dec << "\n";
   }
   std::cout << "  determinism (counters + trace + router hops): "
             << (r.identical ? "identical" : "MISMATCH") << "\n\n";

@@ -17,6 +17,7 @@
 #include <new>
 #include <sstream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/census.hpp"
@@ -166,11 +167,36 @@ TEST(AddrPlane, FlatAndMapLookupsAgreeOnBuiltWorld) {
     return rows;
   };
 
+  // Test-side oracle for the unicast plane: every host's addresses,
+  // straight from the interned pool.
+  std::unordered_map<Ipv4, HostId> oracle;
+  for (HostId id = 0; id < net.host_count(); ++id) {
+    for (const auto addr : net.host_addrs(id)) oracle.emplace(addr, id);
+  }
+  auto oracle_owner = [&](Ipv4 addr) {
+    const auto it = oracle.find(addr);
+    return it == oracle.end() ? kInvalidHost : it->second;
+  };
+  auto rows_digest = [](const std::vector<Row>& rows) {
+    std::ostringstream out;
+    for (const auto& row : rows) {
+      out << row.unicast << ' ' << row.anycast;
+      for (const auto h : row.resolved) out << ' ' << h;
+      out << '\n';
+    }
+    return test::text_digest(out.str());
+  };
+
   const auto flat = snapshot();
   net.set_flat_addr_plane_enabled(false);
   const auto map = snapshot();
   net.set_flat_addr_plane_enabled(true);
   const auto flat_again = snapshot();
+  // Pinned while both the flat table and the map plane answered these
+  // lookups identically.
+  constexpr std::uint64_t kLookupDigest = 0x6cfa9ba80bd3c6f7ull;
+  EXPECT_EQ(rows_digest(flat), kLookupDigest);
+  EXPECT_EQ(rows_digest(map), kLookupDigest);
 
   ASSERT_EQ(flat.size(), map.size());
   std::size_t owned = 0;
@@ -179,6 +205,12 @@ TEST(AddrPlane, FlatAndMapLookupsAgreeOnBuiltWorld) {
     EXPECT_EQ(flat[i].anycast, map[i].anycast) << probes[i].to_string();
     EXPECT_EQ(flat[i].resolved, map[i].resolved) << probes[i].to_string();
     EXPECT_EQ(flat[i].unicast, flat_again[i].unicast);
+    EXPECT_EQ(flat[i].unicast, oracle_owner(probes[i])) << probes[i].to_string();
+    if (!flat[i].anycast) {
+      for (const auto h : flat[i].resolved) {
+        EXPECT_EQ(h, oracle_owner(probes[i])) << probes[i].to_string();
+      }
+    }
     if (flat[i].unicast != kInvalidHost) ++owned;
   }
   EXPECT_GT(owned, 100u) << "differential must cover real addresses";
@@ -239,7 +271,13 @@ TEST(AddrPlane, CensusByteIdenticalFlatVsMapAcrossShardsAndSeeds) {
   // The end-to-end contract, recorded: a full census produces the same
   // bytes whether deliveries resolve through the flat table or the map
   // baseline — for 1, 2, and 8 shards and across seeds.
-  for (const std::uint64_t seed : {11ull, 2021ull}) {
+  // Golden digests per seed, pinned while the flat and the map plane
+  // both ran every shard count and agreed.
+  constexpr std::pair<std::uint64_t, std::uint64_t> kCensusGolden[] = {
+      {11, 0x7fc8b82f01ec4fa1ull},
+      {2021, 0x94c8813b571de0ull},
+  };
+  for (const auto& [seed, golden] : kCensusGolden) {
     std::string reference;
     for (const std::uint32_t shards : {1u, 2u, 8u}) {
       for (const bool flat : {true, false}) {
@@ -252,6 +290,8 @@ TEST(AddrPlane, CensusByteIdenticalFlatVsMapAcrossShardsAndSeeds) {
         cfg.scan_timeout = util::Duration::seconds(2);
         const auto fp = census_fingerprint(core::run_census(cfg));
         ASSERT_FALSE(fp.empty());
+        EXPECT_EQ(test::text_digest(fp), golden)
+            << "seed=" << seed << " shards=" << shards << " flat=" << flat;
         if (reference.empty()) {
           reference = fp;
         } else {

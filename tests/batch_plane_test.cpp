@@ -101,6 +101,15 @@ RunFingerprint run_mini_scan(SimConfig cfg, int forwarders) {
   return fp;
 }
 
+/// Golden digest of a scan fingerprint (see test::text_digest).
+std::uint64_t fingerprint_digest(const RunFingerprint& fp) {
+  std::ostringstream out;
+  out << test::render_counters(fp.counters) << '\n'
+      << fp.trace_digest << ' ' << fp.events << '\n'
+      << fp.transactions;
+  return test::text_digest(out.str());
+}
+
 SimConfig make_cfg(std::uint32_t shards, bool threads, std::uint64_t seed,
                    double loss, bool batch) {
   SimConfig cfg;
@@ -112,12 +121,29 @@ SimConfig make_cfg(std::uint32_t shards, bool threads, std::uint64_t seed,
   return cfg;
 }
 
+// Golden digests of run_mini_scan(…, 6) per (seed, loss), pinned while
+// the scalar and the batched delivery planes both ran the workload and
+// agreed on it.
+struct ScanGolden {
+  std::uint64_t seed;
+  double loss;
+  std::uint64_t digest;
+};
+constexpr ScanGolden kScanGolden[] = {
+    {1, 0.0, 0x400115fcaa91b785ull},
+    {1, 0.08, 0xbfdb3a52ca8d42eaull},
+    {2021, 0.0, 0x400115fcaa91b785ull},
+    {2021, 0.08, 0x72de7bdab7d1fe35ull},
+};
+
 TEST(BatchPlane, ScanEqualsScalarAcrossShardsThreadsSeedsAndLoss) {
-  for (const std::uint64_t seed : {1ull, 2021ull}) {
-    for (const double loss : {0.0, 0.08}) {
+  for (const auto& [seed, loss, golden] : kScanGolden) {
+    {
       const RunFingerprint scalar =
           run_mini_scan(make_cfg(1, false, seed, loss, false), 6);
       ASSERT_FALSE(scalar.transactions.empty());
+      EXPECT_EQ(fingerprint_digest(scalar), golden)
+          << "seed=" << seed << " loss=" << loss;
       for (const std::uint32_t shards : {1u, 2u, 8u}) {
         for (const bool threads : {false, true}) {
           if (shards == 1 && threads) continue;
@@ -175,12 +201,18 @@ std::string run_two_waves(bool toggle_off_second) {
   return out.str();
 }
 
+// Golden digest of run_two_waves, pinned from both the toggled and the
+// always-batched run.
+constexpr std::uint64_t kTwoWavesDigest = 0x9c9544e4e6e1371aull;
+
 TEST(BatchPlane, ToggleIsSafeBetweenRuns) {
   // The switch is a pure execution-strategy lever: flipping it mid-run,
   // between scan waves, must leave every observable unchanged versus a
   // run that kept batching on throughout.
   EXPECT_EQ(run_two_waves(/*toggle_off_second=*/true),
             run_two_waves(/*toggle_off_second=*/false));
+  EXPECT_EQ(test::text_digest(run_two_waves(true)), kTwoWavesDigest);
+  EXPECT_EQ(test::text_digest(run_two_waves(false)), kTwoWavesDigest);
 }
 
 std::string census_fingerprint_text(const classify::Census& census) {
@@ -214,10 +246,18 @@ std::string census_with_batching(bool batch, std::uint32_t shards,
   return fp;
 }
 
+// Golden digests of census_with_batching per loss rate, pinned from the
+// scalar 1-shard run and the batched 1- and 8-shard runs, which agreed.
+constexpr std::pair<double, std::uint64_t> kCensusGolden[] = {
+    {0.0, 0xc21cdc2464b78496ull},
+    {0.05, 0x4db0ecc154bcb08aull},
+};
+
 TEST(BatchPlane, CensusPipelineEqualsScalar) {
-  for (const double loss : {0.0, 0.05}) {
+  for (const auto& [loss, golden] : kCensusGolden) {
     const std::string reference = census_with_batching(false, 1, loss);
     ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(test::text_digest(reference), golden) << loss;
     EXPECT_EQ(census_with_batching(true, 1, loss), reference) << loss;
     EXPECT_EQ(census_with_batching(true, 8, loss), reference) << loss;
   }
@@ -310,11 +350,19 @@ std::string run_amp_fingerprint(SimConfig cfg, bool rrl_on) {
   return out.str();
 }
 
+// Golden digests of run_amp_fingerprint with RRL off/on, pinned from
+// the scalar run and the batched 1- and 8-shard runs, which agreed.
+constexpr std::pair<bool, std::uint64_t> kAmpGolden[] = {
+    {false, 0x2438540aa69b77f4ull},
+    {true, 0xe14057e66ffe3845ull},
+};
+
 TEST(BatchPlane, AmplificationCampaignEqualsScalar) {
-  for (const bool rrl_on : {false, true}) {
+  for (const auto& [rrl_on, golden] : kAmpGolden) {
     const std::string reference =
         run_amp_fingerprint(make_cfg(1, false, 2021, 0.0, false), rrl_on);
     ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(test::text_digest(reference), golden) << "rrl=" << rrl_on;
     EXPECT_EQ(run_amp_fingerprint(make_cfg(1, false, 2021, 0.0, true), rrl_on),
               reference)
         << "rrl=" << rrl_on;

@@ -6,13 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <tuple>
 #include <vector>
 
 #include "netsim/event_queue.hpp"
 #include "netsim/sim.hpp"
 #include "netsim/stream.hpp"
+#include "testutil.hpp"
 
 namespace odns::netsim {
 namespace {
@@ -176,7 +179,32 @@ TEST(EventEngineTest, LegacyModeExecutesTypedSchedulesIdentically) {
     order.push_back(q.executed());
     return order;
   };
-  EXPECT_EQ(record(/*typed=*/true), record(/*typed=*/false));
+  // Oracle: the documented total order is a stable sort of the
+  // schedule by (time, insertion sequence), split per kind the way
+  // record() observes it.
+  std::vector<std::pair<std::int64_t, std::uint64_t>> schedule;
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    schedule.emplace_back(static_cast<std::int64_t>((i * 37) % 5), i);
+  }
+  std::stable_sort(schedule.begin(), schedule.end(),
+                   [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::vector<std::uint64_t> closures, timers, deliveries;
+  for (const auto& [at, i] : schedule) {
+    if (i % 3 == 0) {
+      closures.push_back(i);
+    } else if (i % 3 == 1) {
+      timers.push_back(i + 1000);
+    } else {
+      deliveries.push_back(i + 2000);
+    }
+  }
+  std::vector<std::uint64_t> expected = closures;
+  expected.insert(expected.end(), timers.begin(), timers.end());
+  expected.insert(expected.end(), deliveries.begin(), deliveries.end());
+  expected.push_back(static_cast<std::uint64_t>(schedule.back().first));
+  expected.push_back(schedule.size());
+  EXPECT_EQ(record(/*typed=*/true), expected);
+  EXPECT_EQ(record(/*typed=*/false), expected);
 }
 
 // ---------------------------------------------------------------------
@@ -216,6 +244,7 @@ class NullApp : public App {
 struct ScenarioResult {
   std::vector<TraceRecord> trace;
   SimCounters counters;
+  std::uint64_t canonical_digest = 0;
   std::uint64_t events_executed = 0;
   std::uint64_t handshakes_rejected = 0;
   std::int64_t end_nanos = 0;
@@ -224,16 +253,17 @@ struct ScenarioResult {
 /// A world exercising every event kind: transparent redirects
 /// (re-injection), low-TTL probes (deferred ICMP), same-timestamp
 /// bursts, echo replies, stream handshake timers, and loss.
-ScenarioResult run_scenario(bool typed_events) {
+ScenarioResult run_scenario(bool typed_events, bool batch = false) {
   SimConfig cfg;
   cfg.seed = 99;
   cfg.loss_rate = 0.02;  // exercises the RNG-coupled drop path
   // Engine A/B only: the legacy closure engine is scalar-only, so both
   // runs compare under scalar delivery. Batch-vs-scalar equivalence
   // (canonical trace digests) is tests/batch_plane_test.cpp's job.
-  cfg.batch_delivery = false;
+  cfg.batch_delivery = batch;
   Simulator sim(cfg);
   sim.set_typed_events_enabled(typed_events);
+  sim.set_packet_trace_enabled(true);
   auto& net = sim.net();
 
   auto add_as = [&](Asn asn, int hops, bool sav) {
@@ -300,11 +330,42 @@ ScenarioResult run_scenario(bool typed_events) {
   sim.run();
 
   r.counters = sim.counters();
+  r.canonical_digest = sim.canonical_trace_digest();
   r.events_executed = sim.events_executed();
   r.handshakes_rejected = client.handshakes_rejected();
   r.end_nanos = sim.now().nanos();
   return r;
 }
+
+/// Everything a scenario run observes that does not depend on how a
+/// same-instant delivery cohort is dispatched: counters, the canonical
+/// (content-sorted) trace digest, events executed, the final clock and
+/// the stream handshake outcome.
+std::uint64_t scenario_digest(const ScenarioResult& r) {
+  std::ostringstream out;
+  out << test::render_counters(r.counters) << '\n'
+      << r.canonical_digest << ' ' << r.events_executed << ' '
+      << r.end_nanos << ' ' << r.handshakes_rejected;
+  return test::text_digest(out.str());
+}
+
+/// The tap trace in emission order — unlike the canonical digest, this
+/// also pins how same-instant events interleave.
+std::uint64_t tap_trace_digest(const std::vector<TraceRecord>& trace) {
+  std::ostringstream out;
+  for (const auto& t : trace) {
+    out << static_cast<int>(t.ev) << ' ' << t.src << ' ' << t.dst << ' '
+        << t.ttl << ' ' << t.sport << ' ' << t.dport << '\n';
+  }
+  return test::text_digest(out.str());
+}
+
+// Golden digests of run_scenario. kScenarioDigest was pinned while the
+// typed engine, the legacy closure engine (both scalar delivery) and
+// the batched typed engine all still ran this scenario and agreed on
+// it; kScenarioTapTraceDigest is the batched typed engine's tap order.
+constexpr std::uint64_t kScenarioDigest = 0xa569056709a1582dull;
+constexpr std::uint64_t kScenarioTapTraceDigest = 0x5a7487e5f376ef2bull;
 
 TEST(EventEngineDeterminismTest, TypedMatchesLegacyByteForByte) {
   const ScenarioResult typed = run_scenario(true);
@@ -329,6 +390,14 @@ TEST(EventEngineDeterminismTest, TypedMatchesLegacyByteForByte) {
   EXPECT_GT(typed.counters.redirected, 0u);
   EXPECT_GT(typed.counters.ttl_expired, 0u);
   EXPECT_GT(typed.counters.icmp_generated, 0u);
+  EXPECT_EQ(scenario_digest(typed), kScenarioDigest);
+  EXPECT_EQ(scenario_digest(legacy), kScenarioDigest);
+}
+
+TEST(EventEngineDeterminismTest, BatchedEngineMatchesPinnedDigest) {
+  const ScenarioResult r = run_scenario(true, /*batch=*/true);
+  EXPECT_EQ(scenario_digest(r), kScenarioDigest);
+  EXPECT_EQ(tap_trace_digest(r.trace), kScenarioTapTraceDigest);
 }
 
 TEST(EventEngineDeterminismTest, SameSeedSameTraceOnTypedEngine) {

@@ -507,11 +507,46 @@ TEST(RouteCache, CachedMatchesUncachedOnRandomizedTopology) {
     }
     return out;
   };
+  // Oracle: every lookup through a fresh RouteCache, so nothing is
+  // ever served from state an earlier lookup or mutation left behind.
+  const auto fresh_snapshot = [&] {
+    std::vector<std::optional<Route>> out;
+    for (int from = 1; from <= kAses; ++from) {
+      for (const auto d : dsts) {
+        RouteCache fresh;
+        const auto view = net.route_view(fresh, static_cast<Asn>(from), d);
+        if (!view) {
+          out.emplace_back();
+          continue;
+        }
+        out.push_back(Route{*view->router_hops, *view->as_path,
+                            view->dst_host});
+      }
+    }
+    return out;
+  };
   const auto expect_identical = [&] {
     const auto cold = snapshot(true);
     const auto warm = snapshot(true);  // second pass: all cache hits
     const auto uncached = snapshot(false);
     net.set_route_cache_enabled(true);
+    const auto oracle = fresh_snapshot();
+    ASSERT_EQ(cold.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+      ASSERT_EQ(cold[i].has_value(), oracle[i].has_value()) << i;
+      ASSERT_EQ(warm[i].has_value(), oracle[i].has_value()) << i;
+      ASSERT_EQ(uncached[i].has_value(), oracle[i].has_value()) << i;
+      if (!oracle[i].has_value()) continue;
+      EXPECT_EQ(cold[i]->router_hops, oracle[i]->router_hops) << i;
+      EXPECT_EQ(cold[i]->as_path, oracle[i]->as_path) << i;
+      EXPECT_EQ(cold[i]->dst_host, oracle[i]->dst_host) << i;
+      EXPECT_EQ(warm[i]->router_hops, oracle[i]->router_hops) << i;
+      EXPECT_EQ(warm[i]->as_path, oracle[i]->as_path) << i;
+      EXPECT_EQ(warm[i]->dst_host, oracle[i]->dst_host) << i;
+      EXPECT_EQ(uncached[i]->router_hops, oracle[i]->router_hops) << i;
+      EXPECT_EQ(uncached[i]->as_path, oracle[i]->as_path) << i;
+      EXPECT_EQ(uncached[i]->dst_host, oracle[i]->dst_host) << i;
+    }
     ASSERT_EQ(cold.size(), uncached.size());
     for (std::size_t i = 0; i < cold.size(); ++i) {
       ASSERT_EQ(cold[i].has_value(), uncached[i].has_value()) << i;

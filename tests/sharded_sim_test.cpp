@@ -270,8 +270,21 @@ TEST(ShardedDeterminism, PerShardRouteCachesServeTheHotPath) {
   EXPECT_GT(shards_with_traffic, 1u);  // the work really is spread out
 }
 
+// Golden digest of run_mini_scan(sharded_cfg(4, true), 5): counters and
+// canonical trace, pinned while cached and uncached routing both ran it
+// and agreed.
+constexpr std::uint64_t kFourShardScanDigest = 0xdfbd580c5ef2fc92ull;
+
+std::uint64_t counters_trace_digest(const SimCounters& counters,
+                                    std::uint64_t trace_digest) {
+  return test::text_digest(test::render_counters(counters) + ' ' +
+                           std::to_string(trace_digest));
+}
+
 TEST(ShardedDeterminism, UncachedRoutingMatchesCachedUnderSharding) {
   const auto cached = run_mini_scan(sharded_cfg(4, true), 5);
+  EXPECT_EQ(counters_trace_digest(cached.counters, cached.trace_digest),
+            kFourShardScanDigest);
   MiniWorld world(sharded_cfg(4, true));
   world.sim.net().set_route_cache_enabled(false);
   world.sim.set_packet_trace_enabled(true);
@@ -295,6 +308,9 @@ TEST(ShardedDeterminism, UncachedRoutingMatchesCachedUnderSharding) {
   scanner.run_to_completion();
   EXPECT_EQ(world.sim.counters(), cached.counters);
   EXPECT_EQ(world.sim.canonical_trace_digest(), cached.trace_digest);
+  EXPECT_EQ(counters_trace_digest(world.sim.counters(),
+                                  world.sim.canonical_trace_digest()),
+            kFourShardScanDigest);
 }
 
 TEST(ShardedDeterminism, ClocksSynchronizeAtExplicitDeadlines) {

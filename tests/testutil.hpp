@@ -7,12 +7,16 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
 
 #include "nodes/auth_server.hpp"
 #include "nodes/forwarder.hpp"
 #include "nodes/resolver.hpp"
 #include "nodes/stub.hpp"
 #include "netsim/sim.hpp"
+#include "util/hash.hpp"
 
 namespace odns::test {
 
@@ -33,6 +37,31 @@ inline constexpr Ipv4 kAuthAddr{198, 51, 100, 53};
 inline constexpr Ipv4 kControlAddr{198, 51, 100, 200};
 inline constexpr Ipv4 kResolverAddr{8, 8, 8, 8};
 inline constexpr Ipv4 kScannerAddr{192, 0, 2, 1};
+
+/// Golden-digest helpers. Equivalence suites render a run's
+/// observable outputs as text and pin the FNV-1a digest of that text,
+/// so a recorded value keeps guarding the run after the code path it
+/// was once compared against is gone.
+inline std::uint64_t text_digest(std::string_view text) {
+  std::uint64_t h = util::kFnv1aBasis;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= util::kFnv1aPrime;
+  }
+  return h;
+}
+
+/// Every SimCounters field, space-separated, in declaration order.
+inline std::string render_counters(const netsim::SimCounters& c) {
+  std::ostringstream out;
+  out << c.sent << ' ' << c.delivered << ' ' << c.dropped_sav << ' '
+      << c.dropped_loss << ' ' << c.dropped_no_route << ' ' << c.ttl_expired
+      << ' ' << c.icmp_generated << ' ' << c.redirected << ' '
+      << c.dropped_outage << ' ' << c.jittered << ' ' << c.reordered << ' '
+      << c.duplicated << ' ' << c.corrupted << ' '
+      << c.icmp_unreachable_suppressed;
+  return out.str();
+}
 
 /// Heap-allocation audit hooks. The counters are inline and therefore
 /// present (but dormant) in every test binary; the global operator
