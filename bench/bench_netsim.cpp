@@ -1,15 +1,18 @@
 // Netsim hot-path benchmark: measures raw packet throughput along the
-// repo's two recorded fast paths.
+// engine's production paths.
 //
-// Route-cache workloads (Network route cache disabled vs. enabled):
+// Route-cache workloads (absolute throughput of the cached route path):
 //
 //  * repeated-destination scan — one vantage host re-probing a fixed
 //    set of unicast targets, the shape of every §3/§4 scan campaign;
 //  * mixed anycast — half the targets are anycast groups, exercising
 //    the nearest-PoP resolution path (public resolvers à la 8.8.8.8).
 //
-// Scheduler-stress workloads (legacy closure event engine vs. the
-// typed event pool, docs/event-engine.md; route cache enabled in both):
+// Both gate on the exact route-cache counts: misses equal the distinct
+// (source AS, destination) pairs, hits equal packets minus misses.
+//
+// Scheduler-stress workloads (absolute throughput of the typed event
+// pool, docs/event-engine.md):
 //
 //  * sched burst — whole campaigns injected back-to-back at one
 //    timestamp, so delivery legs land in huge same-time batches;
@@ -17,11 +20,18 @@
 //    spread over seconds of simulated time, keeping the heap deep
 //    while bursts pile onto the near edge.
 //
-// Besides timing, every workload is re-run with a packet-trace tap in
-// both modes and the traces, counters, and router-hop sequences are
-// required to be byte-identical — a fast path must never change a
-// decision, only the cost of making it. Results are recorded at the
-// repo root as BENCH_netsim.json (see docs/benchmarks.md).
+// Both gate on exact events-executed and event-pool high-water counts
+// and on a ceiling for heap allocations inside the timed section.
+//
+// Besides timing, every single-engine workload re-runs a traced
+// verification pass on the pinned default configuration, and its
+// counters, trace, and router-hop hashes must reproduce the row's
+// golden digest — recorded while the old baselines (uncached routes,
+// legacy closure events, the map address plane, scalar delivery) still
+// ran beside the fast paths and agreed with them. A fast path must
+// never change a decision, only the cost of making it. Results are
+// recorded at the repo root as BENCH_netsim.json (see
+// docs/benchmarks.md).
 //
 // Sharded workloads (1-shard typed engine vs. N-shard ShardPool run,
 // docs/architecture.md "Sharded execution"):
@@ -69,7 +79,9 @@
 //                     [--min-speedup=F] [--census-scale=F]
 //
 // Exits 1 on a determinism violation, 2 when any workload's speedup
-// falls below --min-speedup (CI's loud perf-regression gate), 3 when
+// falls below --min-speedup or an exact count gate (route-cache,
+// scheduler) misses its pinned value (CI's loud perf-regression
+// gates), 3 when
 // the full-scale census world misses its ≥10⁶-host / ≥10⁴-AS floors,
 // 4 when a recorded peak RSS exceeds --max-rss-regression kB (CI's
 // loud memory-regression gate).
@@ -83,6 +95,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <new>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -100,6 +114,27 @@
 #include "scan/vantage.hpp"
 #include "util/hash.hpp"
 #include "util/ipv4.hpp"
+
+// Heap-allocation counter behind the scheduler rows' allocation gate:
+// every global operator new on the calling thread bumps it. It is
+// thread-local, so the sharded rows' worker threads never contend on
+// one counter.
+namespace {
+thread_local std::uint64_t t_heap_allocations = 0;
+
+void* counted_alloc(std::size_t size) {
+  ++t_heap_allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc{};
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -257,6 +292,11 @@ struct RunResult {
   std::uint64_t trace_hash = kFnvBasis;
   std::uint64_t route_hash = kFnvBasis;
   double seconds = 0.0;
+  // Scheduler rows only: events executed, event-pool high-water mark,
+  // and heap allocations inside the timed section.
+  std::uint64_t events = 0;
+  std::uint64_t pool_slots = 0;
+  std::uint64_t allocations = 0;
 };
 
 /// Packets per traced verification pass (the pinned configuration).
@@ -305,11 +345,10 @@ void hash_routes(Simulator& sim, const std::vector<Ipv4>& targets,
 /// Sends `packets` probes round-robin over the targets and drains the
 /// event queue. The timed section covers injection + routing + delivery
 /// — the full per-packet fast path.
-RunResult run_workload(const Opts& opts, bool anycast, bool cached,
-                       bool traced, std::uint64_t packets) {
+RunResult run_workload(const Opts& opts, bool anycast, bool traced,
+                       std::uint64_t packets) {
   World w = build_world(opts, anycast);
   auto& sim = *w.sim;
-  sim.net().set_route_cache_enabled(cached);
   RunResult r;
   if (traced) attach_trace_tap(sim, r);
   // Paced injection: drain the queue every burst so the event heap
@@ -336,10 +375,11 @@ RunResult run_workload(const Opts& opts, bool anycast, bool cached,
 
 /// Address-plane lookup surface (the per-delivery addr→host step): a
 /// dense 2^17-host population spread over the ring, resolved in a
-/// strided (cache-hostile, packet-stream-like) order. The A/B flips
-/// Network's lookup structure — flat sorted table vs. the legacy
-/// unordered_map — on the same interned address pool; owners must be
-/// identical element for element (hashed into the determinism check).
+/// strided (cache-hostile, packet-stream-like) order. The fast side is
+/// Network's flat interned plane; the baseline is a bench-local
+/// std::unordered_map built from the same interned address pool.
+/// Owners must be identical element for element (hashed into the
+/// determinism check).
 RunResult run_addr_plane_workload(const Opts& opts, bool flat, bool /*traced*/,
                                   std::uint64_t lookups) {
   constexpr std::uint32_t kLookupHosts = 1u << 17;
@@ -354,8 +394,14 @@ RunResult run_addr_plane_workload(const Opts& opts, bool flat, bool /*traced*/,
     (void)net.add_host(2 + i % (opts.ases - 1), {addr});
     addrs.push_back(addr);
   }
-  net.set_flat_addr_plane_enabled(flat);
   net.freeze_addr_plane();
+  std::unordered_map<Ipv4, HostId> map;
+  if (!flat) {
+    map.reserve(net.host_count());
+    for (HostId id = 0; id < net.host_count(); ++id) {
+      for (const auto addr : net.host_addrs(id)) map.emplace(addr, id);
+    }
+  }
 
   RunResult r;
   std::uint64_t h = kFnvBasis;
@@ -364,8 +410,13 @@ RunResult run_addr_plane_workload(const Opts& opts, bool flat, bool /*traced*/,
   for (std::uint64_t p = 0; p < lookups; ++p) {
     idx += 48271;  // co-prime stride: successive probes never adjacent
     if (idx >= kLookupHosts) idx -= kLookupHosts;
-    const HostId owner = net.resolve_destination(
-        addrs[idx], static_cast<Asn>(2 + p % (opts.ases - 1)));
+    HostId owner = netsim::kInvalidHost;
+    if (flat) {
+      owner = net.resolve_destination(
+          addrs[idx], static_cast<Asn>(2 + p % (opts.ases - 1)));
+    } else if (const auto it = map.find(addrs[idx]); it != map.end()) {
+      owner = it->second;
+    }
     h = fnv1a64(h, owner);
   }
   const auto t1 = std::chrono::steady_clock::now();
@@ -376,8 +427,7 @@ RunResult run_addr_plane_workload(const Opts& opts, bool flat, bool /*traced*/,
 }
 
 /// Fires one probe per timer event — the long-horizon half of the
-/// scheduler-stress mix (in legacy mode the engine wraps these in
-/// closures, reproducing the pre-pool timer cost).
+/// scheduler-stress mix.
 class ProbeTimer : public netsim::TimerTarget {
  public:
   ProbeTimer(Simulator& sim, const World& w) : sim_(&sim), w_(&w) {}
@@ -396,8 +446,7 @@ class ProbeTimer : public netsim::TimerTarget {
 };
 
 /// Scheduler-stress workloads. Both shapes keep the event heap loaded
-/// with the whole campaign so per-event scheduling cost dominates;
-/// `typed` selects the pooled engine vs. the legacy closure engine.
+/// with the whole campaign so per-event scheduling cost dominates.
 ///
 /// Burst (timer_mix=false): every probe is injected back-to-back at
 /// one instant and a single drain executes the campaign — delivery
@@ -409,14 +458,14 @@ class ProbeTimer : public netsim::TimerTarget {
 /// on the scheduler (long-horizon timers inheriting the pacing's
 /// clustering). Deliveries stay pending across slots, so the heap
 /// holds bursts, deliveries, and a 3-second timer horizon at once.
-RunResult run_sched_workload(const Opts& opts, bool timer_mix, bool typed,
-                             bool traced, std::uint64_t packets) {
+RunResult run_sched_workload(const Opts& opts, bool timer_mix, bool traced,
+                             std::uint64_t packets) {
   World w = build_world(opts, /*anycast=*/false);
   auto& sim = *w.sim;
-  sim.set_typed_events_enabled(typed);
   RunResult r;
   if (traced) attach_trace_tap(sim, r);
   ProbeTimer timer(sim, w);
+  const std::uint64_t allocs0 = t_heap_allocations;
   const auto t0 = std::chrono::steady_clock::now();
   auto send_probe = [&](std::uint64_t p) {
     netsim::SendOptions send;
@@ -447,8 +496,11 @@ RunResult run_sched_workload(const Opts& opts, bool timer_mix, bool typed,
   }
   sim.run();
   const auto t1 = std::chrono::steady_clock::now();
+  r.allocations = t_heap_allocations - allocs0;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();
   r.counters = sim.counters();
+  r.events = sim.events_executed();
+  r.pool_slots = sim.event_pool_slots();
   hash_routes(sim, w.targets, r);
   return r;
 }
@@ -719,9 +771,10 @@ bool counters_equal(const netsim::SimCounters& a,
          a.icmp_generated == b.icmp_generated && a.redirected == b.redirected;
 }
 
-/// One A/B row. The labels name the two modes being compared so the
-/// JSON keys stay self-describing: "uncached"/"cached" for the route-
-/// cache rows, "closure"/"typed" for the scheduler rows.
+/// One bench row. The labels name the modes being measured so the JSON
+/// keys stay self-describing ("heap"/"arena" for the codec row, ...);
+/// rows without a baseline leave baseline_label empty and record only
+/// the production path's absolute throughput.
 struct WorkloadReport {
   std::string name;
   std::string baseline_label;
@@ -731,11 +784,18 @@ struct WorkloadReport {
   double speedup = 0.0;
   bool identical = false;
   /// Digest of the verification pass (run_digest), for the rows that
-  /// pin one.
+  /// pin one, and the pass itself.
   std::uint64_t digest = 0;
+  RunResult verify;
   bool has_cache_stats = false;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  /// Exact-count regression gate (route-cache and scheduler rows): the
+  /// counts must hit their pinned values on every machine.
+  bool has_count_gate = false;
+  bool count_gate_ok = true;
+  std::uint64_t expected_cache_misses = 0;
+  std::uint64_t allocation_ceiling = 0;
   // Sharded rows only: wall-clock throughput of the sharded run (the
   // critical-path number is fast_pps) and mailbox-fabric statistics.
   bool has_shard_stats = false;
@@ -778,51 +838,74 @@ struct WorkloadReport {
   double coverage_loss5_r2 = 0.0;
 };
 
-// Golden run_digest values of each A/B row's verification pass on the
-// pinned configuration (Opts::pinned(), kVerifyPackets packets), pinned
-// while both sides of every pair still existed and agreed on them.
+// Golden run_digest values of each row's verification pass on the
+// pinned configuration (Opts::pinned(), kVerifyPackets packets). They
+// were pinned while both sides of every A/B still existed and agreed:
+// uncached vs. cached routes, the map vs. the flat address plane,
+// legacy closures vs. typed events, heap vs. arena codec, and scalar
+// heap-codec vs. batched arena delivery.
 constexpr std::uint64_t kRepeatedDestinationDigest = 0xe587936ab23ee24ull;
 constexpr std::uint64_t kMixedAnycastDigest = 0xbd8d0eb7c4f31800ull;
 constexpr std::uint64_t kAddrPlaneDigest = 0xe42dcdcbd38fbd99ull;
-constexpr std::uint64_t kSchedBurstDigest = 0xf831af05cd1d491aull;
-constexpr std::uint64_t kSchedTimerMixDigest = 0x45b2a625ec2d84fbull;
 constexpr std::uint64_t kArenaCodecDigest = 0xb657f0cd411a634ull;
 constexpr std::uint64_t kBatchCohortDigest = 0x1b289ebfce51fcbull;
 
-/// Shared A/B scaffolding: times both modes (no tap in the hot loop,
-/// best-of-3 to guard against scheduler noise on shared machines),
-/// then re-runs both with a full trace tap and requires the traced
-/// pair AND the timed pair to be byte-identical. `run(fast, traced,
-/// packets)` executes one workload pass in the given mode.
+/// Pinned counts of a scheduler row's verification pass: its golden
+/// digest, exact events executed and event-pool high-water mark, and a
+/// ceiling on heap allocations inside the timed section — the typed
+/// engine's count measured before the legacy closure engine was
+/// removed (each closure event cost at least one allocation there).
+struct SchedGate {
+  std::uint64_t digest;
+  std::uint64_t events;
+  std::uint64_t pool_slots;
+  std::uint64_t allocation_ceiling;
+};
+constexpr SchedGate kSchedBurstGate = {0xf831af05cd1d491aull, 50000, 50000,
+                                     432};
+constexpr SchedGate kSchedTimerMixGate = {0x45b2a625ec2d84fbull, 75000,
+                                        49360, 701};
+
+/// Shared timing scaffolding: times the fast side — and, for an A/B row
+/// (non-empty baseline_label), the baseline — best of 3 with no tap in
+/// the hot loop, then re-runs each side traced on the pinned
+/// configuration; every traced pass must reproduce the row's golden
+/// digest, and an A/B row's timed pair must also agree. `run(o, fast,
+/// traced, packets)` executes one pass.
 template <typename RunFn>
-WorkloadReport ab_workload(const Opts& opts, const std::string& name,
-                           const std::string& baseline_label,
-                           const std::string& fast_label,
-                           std::uint64_t golden, RunFn run) {
+WorkloadReport timed_workload(const Opts& opts, const std::string& name,
+                              const std::string& baseline_label,
+                              const std::string& fast_label,
+                              std::uint64_t golden, RunFn run) {
   constexpr int kRepeats = 3;
+  const bool ab = !baseline_label.empty();
   WorkloadReport rep;
   rep.name = name;
   rep.baseline_label = baseline_label;
   rep.fast_label = fast_label;
   RunResult baseline, fast;
   for (int rep_i = 0; rep_i < kRepeats; ++rep_i) {
-    auto b = run(opts, /*fast=*/false, /*traced=*/false, opts.packets);
+    if (ab) {
+      auto b = run(opts, /*fast=*/false, /*traced=*/false, opts.packets);
+      if (rep_i == 0 || b.seconds < baseline.seconds) baseline = std::move(b);
+    }
     auto f = run(opts, /*fast=*/true, /*traced=*/false, opts.packets);
-    if (rep_i == 0 || b.seconds < baseline.seconds) baseline = std::move(b);
     if (rep_i == 0 || f.seconds < fast.seconds) fast = std::move(f);
   }
-  rep.baseline_pps = static_cast<double>(opts.packets) / baseline.seconds;
   rep.fast_pps = static_cast<double>(opts.packets) / fast.seconds;
-  rep.speedup = rep.fast_pps / rep.baseline_pps;
-  // The traced pair runs the pinned configuration, so both sides must
-  // reproduce the row's golden digest whatever the timed passes ran.
   const Opts pinned = Opts::pinned();
-  const auto vb = run(pinned, false, true, kVerifyPackets);
-  const auto vf = run(pinned, true, true, kVerifyPackets);
-  rep.digest = run_digest(vf);
-  rep.identical = run_digest(vb) == golden && rep.digest == golden &&
-                  counters_equal(baseline.counters, fast.counters) &&
-                  baseline.route_hash == fast.route_hash;
+  rep.verify = run(pinned, true, true, kVerifyPackets);
+  rep.digest = run_digest(rep.verify);
+  rep.identical = rep.digest == golden;
+  if (ab) {
+    rep.baseline_pps = static_cast<double>(opts.packets) / baseline.seconds;
+    rep.speedup = rep.fast_pps / rep.baseline_pps;
+    rep.identical = rep.identical &&
+                    run_digest(run(pinned, false, true, kVerifyPackets)) ==
+                        golden &&
+                    counters_equal(baseline.counters, fast.counters) &&
+                    baseline.route_hash == fast.route_hash;
+  }
   rep.cache_hits = fast.cache_stats.hits;
   rep.cache_misses = fast.cache_stats.misses;
   return rep;
@@ -830,20 +913,29 @@ WorkloadReport ab_workload(const Opts& opts, const std::string& name,
 
 WorkloadReport bench_workload(const Opts& opts, const std::string& name,
                               bool anycast) {
-  WorkloadReport rep = ab_workload(
-      opts, name, "uncached", "cached",
+  WorkloadReport rep = timed_workload(
+      opts, name, "", "cached",
       anycast ? kMixedAnycastDigest : kRepeatedDestinationDigest,
-      [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
-        return run_workload(o, anycast, /*cached=*/fast, traced, packets);
+      [&](const Opts& o, bool, bool traced, std::uint64_t packets) {
+        return run_workload(o, anycast, traced, packets);
       });
   rep.has_cache_stats = true;
+  // Exact route-cache counts: each distinct (source AS, destination)
+  // pair misses once — every probe leaves the vantage AS — and every
+  // other packet is a hit.
+  const World w = build_world(opts, anycast);
+  rep.expected_cache_misses =
+      std::set<Ipv4>(w.targets.begin(), w.targets.end()).size();
+  rep.has_count_gate = true;
+  rep.count_gate_ok =
+      rep.cache_misses == rep.expected_cache_misses &&
+      rep.cache_hits == opts.packets - rep.expected_cache_misses;
   return rep;
 }
 
 WorkloadReport bench_addr_plane_workload(const Opts& opts) {
-  return ab_workload(
-      opts, "addr_plane_lookup", "hash_map", "flat_table",
-      kAddrPlaneDigest,
+  return timed_workload(
+      opts, "addr_plane_lookup", "hash_map", "flat_table", kAddrPlaneDigest,
       [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
         return run_addr_plane_workload(o, /*flat=*/fast, traced, packets);
       });
@@ -851,13 +943,18 @@ WorkloadReport bench_addr_plane_workload(const Opts& opts) {
 
 WorkloadReport bench_sched_workload(const Opts& opts, const std::string& name,
                                     bool timer_mix) {
-  return ab_workload(
-      opts, name, "closure", "typed",
-      timer_mix ? kSchedTimerMixDigest : kSchedBurstDigest,
-      [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
-        return run_sched_workload(o, timer_mix, /*typed=*/fast, traced,
-                                  packets);
+  const SchedGate& gate = timer_mix ? kSchedTimerMixGate : kSchedBurstGate;
+  WorkloadReport rep = timed_workload(
+      opts, name, "", "typed", gate.digest,
+      [&](const Opts& o, bool, bool traced, std::uint64_t packets) {
+        return run_sched_workload(o, timer_mix, traced, packets);
       });
+  rep.has_count_gate = true;
+  rep.allocation_ceiling = gate.allocation_ceiling;
+  rep.count_gate_ok = rep.verify.events == gate.events &&
+                      rep.verify.pool_slots == gate.pool_slots &&
+                      rep.verify.allocations <= gate.allocation_ceiling;
+  return rep;
 }
 
 /// Sharded A/B: the 1-shard typed engine vs. the N-shard run on the
@@ -1243,10 +1340,10 @@ WorkloadReport bench_amplification_workload(const Opts& opts) {
 
 /// World for the batch_delivery_cohort row: ring topology, one DNS
 /// responder per non-vantage AS answering the two-record mirror shape.
-/// `fast` selects batched delivery + the arena serving path; the
-/// baseline is scalar delivery + the heap codec. Responses are
-/// byte-identical either way, so the A/B requires identical counters
-/// and canonical traces.
+/// `fast` selects the arena serving path (ArenaDnsResponder::on_batch);
+/// the baseline serves through the heap codec (DnsResponder). Both run
+/// on the batched delivery plane and send byte-identical responses, so
+/// the A/B requires identical counters and canonical traces.
 struct BatchWorld {
   std::unique_ptr<Simulator> sim;
   HostId scanner = netsim::kInvalidHost;
@@ -1259,7 +1356,6 @@ BatchWorld build_batch_world(const Opts& opts, bool fast) {
   BatchWorld w;
   netsim::SimConfig cfg;
   cfg.seed = opts.seed;
-  cfg.batch_delivery = fast;
   w.sim = std::make_unique<Simulator>(cfg);
   auto& net = w.sim->net();
   for (std::uint32_t i = 1; i <= opts.ases; ++i) {
@@ -1339,8 +1435,8 @@ RunResult run_batch_workload(const Opts& opts, bool fast, bool traced,
 }
 
 WorkloadReport bench_batch_workload(const Opts& opts) {
-  return ab_workload(
-      opts, "batch_delivery_cohort", "scalar_heap", "batched_arena",
+  return timed_workload(
+      opts, "batch_delivery_cohort", "batched_heap", "batched_arena",
       kBatchCohortDigest,
       [&](const Opts& o, bool fast, bool traced, std::uint64_t packets) {
         return run_batch_workload(o, fast, traced, packets);
@@ -1426,12 +1522,12 @@ RunResult run_codec_workload(bool arena, bool traced,
 }
 
 WorkloadReport bench_codec_workload(const Opts& opts) {
-  return ab_workload(opts, "arena_codec_serve", "heap", "arena",
-                     kArenaCodecDigest,
-                     [&](const Opts&, bool fast, bool traced,
-                         std::uint64_t packets) {
-                       return run_codec_workload(fast, traced, packets);
-                     });
+  return timed_workload(opts, "arena_codec_serve", "heap", "arena",
+                        kArenaCodecDigest,
+                        [&](const Opts&, bool fast, bool traced,
+                            std::uint64_t packets) {
+                          return run_codec_workload(fast, traced, packets);
+                        });
 }
 
 // --- million-host census row ----------------------------------------
@@ -1682,15 +1778,29 @@ WorkloadReport bench_fault_plane_workload(const Opts& opts) {
 
 void print_report(const WorkloadReport& r) {
   const char* unit = r.has_census_stats ? " hosts/s" : " pkts/s";
-  std::cout << r.name << "\n"
-            << "  " << r.baseline_label << ": "
-            << static_cast<std::uint64_t>(r.baseline_pps) << unit << "\n"
-            << "  " << r.fast_label << ":   "
-            << static_cast<std::uint64_t>(r.fast_pps) << unit << "\n"
-            << "  speedup:  " << r.speedup << "x\n";
+  std::cout << r.name << "\n";
+  if (!r.baseline_label.empty()) {
+    std::cout << "  " << r.baseline_label << ": "
+              << static_cast<std::uint64_t>(r.baseline_pps) << unit << "\n";
+  }
+  std::cout << "  " << r.fast_label << ":   "
+            << static_cast<std::uint64_t>(r.fast_pps) << unit << "\n";
+  if (!r.baseline_label.empty()) {
+    std::cout << "  speedup:  " << r.speedup << "x\n";
+  }
   if (r.has_cache_stats) {
     std::cout << "  cache:    " << r.cache_hits << " hits / "
-              << r.cache_misses << " misses\n";
+              << r.cache_misses << " misses (expected "
+              << r.expected_cache_misses << " misses)\n";
+  }
+  if (r.allocation_ceiling > 0) {
+    std::cout << "  engine:   " << r.verify.events << " events, pool "
+              << r.verify.pool_slots << " slots, " << r.verify.allocations
+              << " allocations (ceiling " << r.allocation_ceiling << ")\n";
+  }
+  if (r.has_count_gate) {
+    std::cout << "  count gate: " << (r.count_gate_ok ? "pass" : "FAIL")
+              << "\n";
   }
   if (r.has_shard_stats && !r.has_vantage_stats) {
     std::cout << "  shards:   " << r.shards << " (wall "
@@ -1745,14 +1855,30 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
       << "  \"workloads\": [\n";
   for (std::size_t i = 0; i < reps.size(); ++i) {
     const auto& r = reps[i];
-    out << "    {\"name\": \"" << r.name << "\", \"" << r.baseline_label
-        << "_pps\": " << static_cast<std::uint64_t>(r.baseline_pps)
-        << ", \"" << r.fast_label
-        << "_pps\": " << static_cast<std::uint64_t>(r.fast_pps)
-        << ", \"speedup\": " << r.speedup;
+    out << "    {\"name\": \"" << r.name << "\"";
+    if (!r.baseline_label.empty()) {
+      out << ", \"" << r.baseline_label
+          << "_pps\": " << static_cast<std::uint64_t>(r.baseline_pps);
+    }
+    out << ", \"" << r.fast_label
+        << "_pps\": " << static_cast<std::uint64_t>(r.fast_pps);
+    if (!r.baseline_label.empty()) out << ", \"speedup\": " << r.speedup;
     if (r.has_cache_stats) {
       out << ", \"cache_hits\": " << r.cache_hits
-          << ", \"cache_misses\": " << r.cache_misses;
+          << ", \"cache_misses\": " << r.cache_misses
+          << ", \"expected_cache_misses\": " << r.expected_cache_misses;
+    }
+    if (r.allocation_ceiling > 0) {
+      out << ", \"events_executed\": " << r.verify.events
+          << ", \"event_pool_slots\": " << r.verify.pool_slots
+          << ", \"timed_allocations\": " << r.verify.allocations
+          << ", \"allocation_ceiling\": " << r.allocation_ceiling;
+    }
+    if (r.has_count_gate) {
+      out << ", \"count_gate\": " << (r.count_gate_ok ? "true" : "false");
+    }
+    if (r.digest != 0) {
+      out << ", \"digest\": \"" << std::hex << r.digest << std::dec << "\"";
     }
     if (r.has_shard_stats && !r.has_vantage_stats) {
       out << ", \"shards\": " << r.shards << ", \"sharded_wall_pps\": "
@@ -1827,13 +1953,19 @@ int main(int argc, char** argv) {
 
   for (const auto& r : reps) {
     if (!r.identical) {
-      std::cerr << "FAIL: " << r.name << ": " << r.fast_label << " and "
-                << r.baseline_label << " runs diverged\n";
+      std::cerr << "FAIL: " << r.name << ": runs diverged from each other "
+                   "or from the row's golden digest\n";
       return 1;
     }
   }
   for (const auto& r : reps) {
-    if (opts.min_speedup > 0.0 && r.speedup < opts.min_speedup) {
+    if (!r.count_gate_ok) {
+      std::cerr << "FAIL: " << r.name
+                << " missed its pinned route-cache / scheduler counts\n";
+      return 2;
+    }
+    if (opts.min_speedup > 0.0 && !r.baseline_label.empty() &&
+        r.speedup < opts.min_speedup) {
       std::cerr << "FAIL: " << r.name << " speedup " << r.speedup
                 << "x below required " << opts.min_speedup << "x\n";
       return 2;

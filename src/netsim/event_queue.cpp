@@ -102,15 +102,6 @@ void EventQueue::release_misc(std::uint32_t slot) {
 
 void EventQueue::schedule_deliver(util::SimTime at, Packet&& pkt,
                                   HostId host) {
-  if (legacy_mode_) {
-    // Pre-pool cost model: the whole Packet is captured in a
-    // heap-allocating std::function — the A/B baseline bench_netsim
-    // measures the typed path against.
-    schedule_at(at, [this, pkt = std::move(pkt), host]() mutable {
-      sink_->deliver_event(std::move(pkt), host);
-    });
-    return;
-  }
   PacketEvent& ev = acquire_packet(at, Kind::deliver);
   ev.pkt = std::move(pkt);
   ev.dst_host = host;
@@ -119,13 +110,6 @@ void EventQueue::schedule_deliver(util::SimTime at, Packet&& pkt,
 void EventQueue::schedule_icmp(util::SimTime at, IcmpType type,
                                Packet&& offender, util::Ipv4 router,
                                Asn origin_as) {
-  if (legacy_mode_) {
-    schedule_at(at, [this, type, offender = std::move(offender), router,
-                     origin_as]() mutable {
-      sink_->icmp_event(type, std::move(offender), router, origin_as);
-    });
-    return;
-  }
   PacketEvent& ev = acquire_packet(at, Kind::icmp);
   ev.icmp_type = type;
   ev.pkt = std::move(offender);
@@ -136,10 +120,6 @@ void EventQueue::schedule_icmp(util::SimTime at, IcmpType type,
 void EventQueue::schedule_timer(util::SimTime at, TimerTarget* target,
                                 std::uint64_t a, std::uint64_t b) {
   assert(target != nullptr);
-  if (legacy_mode_) {
-    schedule_at(at, [target, a, b]() { target->on_timer(a, b); });
-    return;
-  }
   MiscEvent& ev = acquire_misc(at, Kind::timer);
   ev.timer = target;
   ev.arg_a = a;
@@ -147,10 +127,6 @@ void EventQueue::schedule_timer(util::SimTime at, TimerTarget* target,
 }
 
 void EventQueue::schedule_at(util::SimTime at, Action action) {
-  if (legacy_mode_) {
-    legacy_heap_.push(LegacyEntry{clamp(at), next_seq_++, std::move(action)});
-    return;
-  }
   MiscEvent& ev = acquire_misc(at, Kind::closure);
   ev.closure = std::move(action);
 }
@@ -204,17 +180,6 @@ void EventQueue::dispatch(std::uint32_t item) {
 
 void EventQueue::step() {
   assert(!empty());
-  if (legacy_mode_) {
-    // priority_queue::top() is const; move out via const_cast on the
-    // action only — the entry is popped immediately after.
-    auto& top = const_cast<LegacyEntry&>(legacy_heap_.top());
-    now_ = top.at;
-    Action action = std::move(top.action);
-    legacy_heap_.pop();
-    ++executed_;
-    action();
-    return;
-  }
   const TimeRef top = time_heap_.front();
   Bucket& b = buckets_[top.bucket];
   const std::uint32_t slot = b.items[b.head++];
@@ -235,13 +200,6 @@ std::size_t EventQueue::step_batch() {
   // Handlers that schedule at the batch timestamp (zero-delay sends
   // clamp to it) extend the batch; bucket append order keeps them
   // after everything already pending, so the total order is unchanged.
-  if (legacy_mode_ || !batch_enabled_) {
-    while (!empty() && peek_at() == at) {
-      step();
-      ++n;
-    }
-    return n;
-  }
   // Batch extraction: maximal runs of consecutive delivery events are
   // pulled out of the head bucket *before* dispatch and handed to the
   // sink as one span — same events, same sequence order, one virtual

@@ -14,14 +14,13 @@
 // vectors are slab-recycled).
 //
 // The full scheduler contract (total order, tie-breaking, determinism
-// guarantees, pool lifetime rules) and the migration guide from the
-// legacy closure API to typed events live in docs/event-engine.md.
+// guarantees, pool lifetime rules) and the schedule_at closure shim's
+// contract live in docs/event-engine.md.
 
 #include <array>
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -88,43 +87,15 @@ class EventQueue {
   void schedule_timer(util::SimTime at, TimerTarget* target, std::uint64_t a,
                       std::uint64_t b);
 
-  /// Legacy closure shim: schedules `action` at absolute time `at`.
-  /// Kept for tests, examples, and cold paths; allocates whenever the
-  /// callable outgrows std::function's small-buffer optimisation.
+  /// Closure shim: schedules `action` at absolute time `at`, as a
+  /// pooled closure event in the same (time, seq) order as the typed
+  /// kinds. Kept for tests, examples, and cold paths; allocates
+  /// whenever the callable outgrows std::function's small-buffer
+  /// optimisation.
   void schedule_at(util::SimTime at, Action action);
 
-  /// Switches to the pre-pool closure engine (a priority_queue of
-  /// (time, seq, std::function) entries): every typed schedule_* call
-  /// is wrapped in a heap-allocating closure, reproducing the legacy
-  /// per-event cost model. This is bench_netsim's A/B baseline and the
-  /// determinism suite's reference ordering; both modes execute the
-  /// exact same (time, seq) total order. Only valid on an empty queue:
-  /// switching with events pending would strand them in the inactive
-  /// structure, so the request is refused outright (cold path — the
-  /// unconditional check is free).
-  void set_legacy_mode(bool on) {
-    if (!time_heap_.empty() || !legacy_heap_.empty()) {
-      assert(false && "set_legacy_mode with events pending");
-      return;
-    }
-    legacy_mode_ = on;
-  }
-  [[nodiscard]] bool legacy_mode() const { return legacy_mode_; }
-
-  /// Toggles batch extraction of delivery runs in step_batch(). Both
-  /// modes execute the identical (time, seq) total order — batching
-  /// only changes how many events one sink call covers — so the switch
-  /// is safe at any point and is the equivalence tests' A/B lever
-  /// (tests/batch_plane_test.cpp).
-  void set_batch_delivery(bool on) { batch_enabled_ = on; }
-  [[nodiscard]] bool batch_delivery() const { return batch_enabled_; }
-
-  [[nodiscard]] bool empty() const {
-    return legacy_mode_ ? legacy_heap_.empty() : time_heap_.empty();
-  }
-  [[nodiscard]] std::size_t size() const {
-    return legacy_mode_ ? legacy_heap_.size() : pending_;
-  }
+  [[nodiscard]] bool empty() const { return time_heap_.empty(); }
+  [[nodiscard]] std::size_t size() const { return pending_; }
   [[nodiscard]] util::SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
@@ -177,7 +148,7 @@ class EventQueue {
     std::uint32_t next_free = kNilIndex;
   };
 
-  /// Timer or legacy-closure pooled event.
+  /// Timer or closure pooled event.
   struct MiscEvent {
     Action closure;
     TimerTarget* timer = nullptr;
@@ -215,18 +186,6 @@ class EventQueue {
     }
   };
 
-  struct LegacyEntry {
-    util::SimTime at;
-    std::uint64_t seq;
-    Action action;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
   /// Cache empty-slot marker; unreachable as a timestamp because
   /// schedule clamps to now() >= 0.
@@ -247,8 +206,7 @@ class EventQueue {
     return at < now_ ? now_ : at;
   }
   [[nodiscard]] util::SimTime peek_at() const {
-    return legacy_mode_ ? legacy_heap_.top().at
-                        : util::SimTime::from_nanos(time_heap_.front().at);
+    return util::SimTime::from_nanos(time_heap_.front().at);
   }
   [[nodiscard]] static std::size_t cache_slot(std::int64_t at) {
     return static_cast<std::size_t>(
@@ -278,12 +236,8 @@ class EventQueue {
   std::array<CacheEntry, kCacheSize> tcache_{};
   std::size_t pending_ = 0;
 
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>, LegacyLater>
-      legacy_heap_;
   std::vector<DeliverItem> batch_scratch_;  // reused across cohorts
   PacketSink* sink_ = nullptr;
-  bool legacy_mode_ = false;
-  bool batch_enabled_ = true;
   util::SimTime now_ = util::SimTime::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

@@ -96,13 +96,6 @@ void Network::announce(Asn asn, Prefix4 prefix) {
 }
 
 void Network::index_address(util::Ipv4 addr, HostId id) {
-  if (!flat_addr_plane_) {
-    auto [it, inserted] = addr_to_host_.emplace(addr, id);
-    if (!inserted) {
-      throw std::invalid_argument("address already assigned: " + addr.to_string());
-    }
-    return;
-  }
   if (addr_tail_.size() < kAddrTailMerge) {
     // Affordable eager duplicate check; past the threshold (bulk
     // build) it is deferred to the freeze-time sort.
@@ -128,18 +121,12 @@ HostId Network::add_host(Asn asn, std::span<const util::Ipv4> addrs) {
   try {
     for (auto a : addrs) index_address(a, id);
   } catch (...) {
-    // Keep the strong guarantee the map-based plane offered: a
-    // duplicate address leaves no phantom host behind.
+    // Strong guarantee: a duplicate address leaves no phantom host
+    // behind.
     addr_pool_.resize(h.addr_off);
     hosts_.pop_back();
     while (!addr_tail_.empty() && addr_tail_.back().second == id) {
       addr_tail_.pop_back();
-    }
-    for (auto a : addrs) {
-      if (auto it = addr_to_host_.find(a);
-          it != addr_to_host_.end() && it->second == id) {
-        addr_to_host_.erase(it);
-      }
     }
     throw;
   }
@@ -247,10 +234,6 @@ HostId Network::frozen_owner(util::Ipv4 addr) const {
 }
 
 HostId Network::unicast_owner(util::Ipv4 addr) const {
-  if (!flat_addr_plane_) {
-    auto it = addr_to_host_.find(addr);
-    return it == addr_to_host_.end() ? kInvalidHost : it->second;
-  }
   if (!addr_tail_.empty()) {
     if (addr_tail_.size() >= kAddrTailMerge) {
       freeze_addr_plane();
@@ -385,8 +368,14 @@ std::optional<Route> Network::route(HostId from, util::Ipv4 dst) const {
   return route_from_as(hosts_[from].asn, dst);
 }
 
-std::shared_ptr<const PathSpan> Network::build_span(RouteCache& cache,
-                                                    Asn from, Asn to) const {
+std::shared_ptr<const PathSpan> Network::span_for(RouteCache& cache, Asn from,
+                                                  Asn to) const {
+  const auto key = static_cast<std::uint64_t>(as_index(from)) << 32 |
+                   static_cast<std::uint64_t>(as_index(to));
+  auto& entry = cache.spans[key];
+  if (entry.epoch == epoch_) return entry.span;
+  entry.epoch = epoch_;
+  entry.span = nullptr;
   auto span = std::make_shared<PathSpan>();
   span->as_path = as_path(cache, from, to);
   if (span->as_path.empty()) return nullptr;
@@ -398,18 +387,7 @@ std::shared_ptr<const PathSpan> Network::build_span(RouteCache& cache,
     span->router_hops.insert(span->router_hops.end(), info.router_ips.begin(),
                              info.router_ips.end());
   }
-  return span;
-}
-
-std::shared_ptr<const PathSpan> Network::span_for(RouteCache& cache, Asn from,
-                                                  Asn to) const {
-  const auto key = static_cast<std::uint64_t>(as_index(from)) << 32 |
-                   static_cast<std::uint64_t>(as_index(to));
-  auto& entry = cache.spans[key];
-  if (entry.epoch != epoch_) {
-    entry.epoch = epoch_;
-    entry.span = build_span(cache, from, to);
-  }
+  entry.span = std::move(span);
   return entry.span;
 }
 
@@ -419,18 +397,12 @@ void Network::compute_route(RouteCache& cache, RouteCache::RouteEntry& entry,
   entry.span = nullptr;
   entry.dst_host = resolve_destination(cache, dst, from);
   if (entry.dst_host == kInvalidHost) return;
-  const Asn dst_as = hosts_[entry.dst_host].asn;
-  entry.span = route_cache_enabled_ ? span_for(cache, from, dst_as)
-                                    : build_span(cache, from, dst_as);
+  entry.span = span_for(cache, from, hosts_[entry.dst_host].asn);
 }
 
 const RouteCache::RouteEntry& Network::lookup_route(RouteCache& cache,
                                                     Asn from,
                                                     util::Ipv4 dst) const {
-  if (!route_cache_enabled_) {
-    compute_route(cache, cache.scratch, from, dst);
-    return cache.scratch;
-  }
   const auto key = static_cast<std::uint64_t>(from) << 32 |
                    static_cast<std::uint64_t>(dst.value());
   auto [it, inserted] = cache.routes.try_emplace(key);
@@ -479,39 +451,6 @@ const std::vector<std::pair<Prefix4, Asn>>& Network::announced_prefixes()
     announced_epoch_ = epoch_;
   }
   return announced_cache_;
-}
-
-void Network::set_flat_addr_plane_enabled(bool enabled) {
-  if (enabled == flat_addr_plane_) return;
-  flat_addr_plane_ = enabled;
-  rebuild_addr_plane();
-}
-
-void Network::rebuild_addr_plane() {
-  addr_index_.clear();
-  addr_tail_.clear();
-  addr_to_host_.clear();
-  if (flat_addr_plane_) {
-    addr_index_.reserve(addr_pool_.size());
-    for (const Host& h : hosts_) {
-      for (std::uint32_t i = 0; i < h.addr_count; ++i) {
-        addr_index_.emplace_back(addr_pool_[h.addr_off + i], h.id);
-      }
-    }
-    std::sort(addr_index_.begin(), addr_index_.end());
-    addr_freeze_epoch_ = epoch_;
-    rebuild_addr_slots();
-  } else {
-    addr_slots_.clear();
-    addr_slots_.shrink_to_fit();
-    addr_slots_shift_ = 0;
-    addr_to_host_.reserve(addr_pool_.size());
-    for (const Host& h : hosts_) {
-      for (std::uint32_t i = 0; i < h.addr_count; ++i) {
-        addr_to_host_.emplace(addr_pool_[h.addr_off + i], h.id);
-      }
-    }
-  }
 }
 
 }  // namespace odns::netsim

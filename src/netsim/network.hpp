@@ -153,22 +153,20 @@ class Network {
 
   /// Zero-copy route lookup for the per-packet hot path. The returned
   /// view borrows the cached hop/AS-path vectors; it stays valid until
-  /// the next topology mutation (or, with the cache disabled, the next
-  /// route lookup). Routing decisions are byte-identical to `route()`.
+  /// the next topology mutation. Routing decisions are byte-identical
+  /// to `route()`.
   [[nodiscard]] std::optional<RouteView> route_view(Asn from,
                                                     util::Ipv4 dst) const;
   /// Per-shard variant: fills/serves `cache` instead of the built-in
   /// default cache. Thread-safe as long as each cache is driven by one
-  /// thread and the topology is not mutated concurrently; with the
-  /// cache switch disabled it recomputes into `cache.scratch`.
+  /// thread and the topology is not mutated concurrently.
   [[nodiscard]] std::optional<RouteView> route_view(RouteCache& cache,
                                                     Asn from,
                                                     util::Ipv4 dst) const;
   /// Entry-level variant of route_view for the batch plane's per-shard
   /// route memo: identical lookup/stats semantics, but hands back the
   /// cache entry so the caller can pin its span shared_ptr across
-  /// rehashes. With the cache disabled the reference aliases
-  /// `cache.scratch` and is clobbered by the next lookup.
+  /// rehashes.
   [[nodiscard]] const RouteCache::RouteEntry& route_entry(
       RouteCache& cache, Asn from, util::Ipv4 dst) const {
     return lookup_route(cache, from, dst);
@@ -177,17 +175,6 @@ class Network {
   /// callers memoize against the same stats the tests observe.
   [[nodiscard]] RouteCache& default_cache() const { return default_cache_; }
 
-  /// A/B switch for benchmarking and equivalence tests: with the cache
-  /// off, every lookup recomputes the route from scratch (the pre-cache
-  /// behaviour). Routing results are identical either way. Applies to
-  /// the default cache and to every caller-supplied RouteCache.
-  void set_route_cache_enabled(bool enabled) {
-    route_cache_enabled_ = enabled;
-    if (!enabled) default_cache_.clear();
-  }
-  [[nodiscard]] bool route_cache_enabled() const {
-    return route_cache_enabled_;
-  }
   /// Monotonic counter bumped by every topology mutation (`add_as`,
   /// `link`, `announce`, `add_host`, `add_host_address`,
   /// `join_anycast`). Cache entries tagged with an older epoch are
@@ -203,29 +190,12 @@ class Network {
   [[nodiscard]] const std::vector<std::pair<Prefix4, Asn>>& announced_prefixes()
       const;
 
-  /// A/B switch for the addr→host lookup plane. Flat (default): a
-  /// sorted dense (addr, host) table frozen into an open-addressed
-  /// probe index (O(1)-amortized point lookups, one expected cache
-  /// miss), plus a small unsorted tail for post-freeze mutations.
-  /// Map: the pre-flat unordered_map baseline, kept for equivalence
-  /// differentials and the addr_plane_lookup bench. Switching rebuilds
-  /// the active structure from the shared address pool; lookup results
-  /// are identical in both modes.
-  void set_flat_addr_plane_enabled(bool enabled);
-  [[nodiscard]] bool flat_addr_plane_enabled() const {
-    return flat_addr_plane_;
-  }
-
  private:
   const RouteCache::BfsEntry& bfs_for(RouteCache& cache, Asn src) const;
   [[nodiscard]] std::vector<Asn> as_path(RouteCache& cache, Asn from,
                                          Asn to) const;
   util::Ipv4 allocate_router_ip();
   void bump_epoch() { ++epoch_; }
-  /// Builds the concatenated hop span for an AS pair (uncached).
-  [[nodiscard]] std::shared_ptr<const PathSpan> build_span(RouteCache& cache,
-                                                           Asn from,
-                                                           Asn to) const;
   /// Span for an AS pair, via the epoch-tagged span cache.
   std::shared_ptr<const PathSpan> span_for(RouteCache& cache, Asn from,
                                            Asn to) const;
@@ -235,10 +205,9 @@ class Network {
   const RouteCache::RouteEntry& lookup_route(RouteCache& cache, Asn from,
                                              util::Ipv4 dst) const;
 
-  /// Appends `addr` to the flat lookup structures (active mode only);
-  /// throws on duplicates when the check is affordable (see .cpp).
+  /// Appends `addr` to the address plane's unsorted tail; throws on
+  /// duplicates when the check is affordable (see .cpp).
   void index_address(util::Ipv4 addr, HostId id);
-  void rebuild_addr_plane();
   /// Rebuilds the open-addressed probe index over addr_index_ (called
   /// at the end of every freeze); O(1)-amortized frozen-table lookup.
   void rebuild_addr_slots() const;
@@ -281,10 +250,6 @@ class Network {
   /// 100.64/10 allocation (slot = addr - kRouterPoolBase).
   std::vector<std::uint32_t> router_owner_;
 
-  // --- map-based A/B baseline --------------------------------------
-  bool flat_addr_plane_ = true;
-  std::unordered_map<util::Ipv4, HostId> addr_to_host_;  // map mode only
-
   util::Ipv4 next_router_ip_;
 
   mutable std::vector<std::pair<Prefix4, Asn>> announced_cache_;
@@ -296,7 +261,6 @@ class Network {
   /// epoch_ means add_host/announce storms during world construction
   /// never force BFS recomputation.
   std::uint64_t graph_epoch_ = 1;
-  bool route_cache_enabled_ = true;
   /// Cache behind the classic (cache-less) API shapes; shard 0 /
   /// single-threaded callers share it.
   mutable RouteCache default_cache_;

@@ -94,8 +94,6 @@ class RouteCache {
   // kMaxBfsEntries via bfs_order (insertion-order eviction).
   std::unordered_map<Asn, BfsEntry> bfs;
   std::deque<Asn> bfs_order;
-  // Scratch entry used when the cache is disabled (uncached baseline).
-  RouteEntry scratch;
   RouteCacheStats stats;
 };
 

@@ -17,7 +17,6 @@ Simulator::Simulator(SimConfig cfg) : cfg_(cfg) {
   shards_.reserve(cfg_.shards);
   for (std::uint32_t i = 0; i < cfg_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(*this, i, cfg_.shards, cfg_));
-    shards_.back()->events.set_batch_delivery(cfg_.batch_delivery);
   }
 }
 
@@ -74,25 +73,6 @@ void Simulator::run_until(util::SimTime deadline) {
     return;
   }
   run_windows(deadline, /*advance_clocks=*/true);
-}
-
-void Simulator::set_typed_events_enabled(bool on) {
-  if (!on && !single_shard()) {
-    // The sharded runtime is typed-only: the legacy closure engine
-    // exists as the single-threaded A/B baseline.
-    assert(false && "legacy event mode requires shards == 1");
-    return;
-  }
-  shards_[0]->events.set_legacy_mode(!on);
-}
-
-bool Simulator::typed_events_enabled() const {
-  return !shards_[0]->events.legacy_mode();
-}
-
-void Simulator::set_batch_delivery_enabled(bool on) {
-  cfg_.batch_delivery = on;
-  for (auto& sh : shards_) sh->events.set_batch_delivery(on);
 }
 
 void Simulator::set_fault_config(const FaultConfig& faults) {
@@ -164,6 +144,12 @@ void Simulator::clear_vantage_capture() {
 std::uint64_t Simulator::events_executed() const {
   std::uint64_t total = 0;
   for (const auto& sh : shards_) total += sh->events.executed();
+  return total;
+}
+
+std::size_t Simulator::event_pool_slots() const {
+  std::size_t total = 0;
+  for (const auto& sh : shards_) total += sh->events.pool_slots();
   return total;
 }
 
@@ -460,30 +446,24 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
   // observable stats match the classic path exactly. Single-shard runs
   // memoize against the Network's default cache (the classic
   // observable-stats path); sharded runs use this shard's private one.
-  std::optional<RouteView> route;
-  if (net_.route_cache_enabled()) {
-    RouteCache& cache = single_shard() ? net_.default_cache() : sh.route_cache;
-    Shard::RouteMemo& memo = sh.route_memo;
-    const std::uint64_t epoch = net_.topology_epoch();
-    if (memo.epoch == epoch && memo.from == origin_as && memo.dst == pkt.dst) {
-      ++cache.stats.hits;
-    } else {
-      const RouteCache::RouteEntry& entry =
-          net_.route_entry(cache, origin_as, pkt.dst);
-      memo.epoch = epoch;  // == entry.epoch: lookup stamps the entry
-      memo.from = origin_as;
-      memo.dst = pkt.dst;
-      memo.span = entry.span.get();
-      memo.dst_host = entry.dst_host;
-    }
-    if (memo.span != nullptr) {
-      route = RouteView{&memo.span->router_hops, &memo.span->as_path,
-                        memo.dst_host};
-    }
+  RouteCache& cache = single_shard() ? net_.default_cache() : sh.route_cache;
+  Shard::RouteMemo& memo = sh.route_memo;
+  const std::uint64_t epoch = net_.topology_epoch();
+  if (memo.epoch == epoch && memo.from == origin_as && memo.dst == pkt.dst) {
+    ++cache.stats.hits;
   } else {
-    route = single_shard()
-                ? net_.route_view(origin_as, pkt.dst)
-                : net_.route_view(sh.route_cache, origin_as, pkt.dst);
+    const RouteCache::RouteEntry& entry =
+        net_.route_entry(cache, origin_as, pkt.dst);
+    memo.epoch = epoch;  // == entry.epoch: lookup stamps the entry
+    memo.from = origin_as;
+    memo.dst = pkt.dst;
+    memo.span = entry.span.get();
+    memo.dst_host = entry.dst_host;
+  }
+  std::optional<RouteView> route;
+  if (memo.span != nullptr) {
+    route = RouteView{&memo.span->router_hops, &memo.span->as_path,
+                      memo.dst_host};
   }
   if (!route) {
     ++sh.counters.dropped_no_route;

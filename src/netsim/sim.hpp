@@ -24,11 +24,11 @@
 // core in event_queue.hpp (scheduler contract: docs/event-engine.md).
 // docs/architecture.md walks through how a packet traverses all three.
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -105,14 +105,6 @@ struct SimConfig {
   /// Values above hop_latency are clamped down to it — a longer window
   /// would violate the conservative-admission invariant.
   util::Duration lookahead = util::Duration::nanos(0);
-
-  // --- batch packet plane ("Batch packet plane", docs/architecture.md)
-  /// Process same-timestamp delivery cohorts as packet batches: one
-  /// route-memo lookup per (source-AS, destination) run, one dispatch
-  /// per (host, port) run. Event order and every observable output are
-  /// byte-identical with batching off (tests/batch_plane_test.cpp);
-  /// this switch is the equivalence tests' and benches' A/B lever.
-  bool batch_delivery = true;
 
   // --- fault plane ("Fault plane & graceful degradation",
   // docs/architecture.md) --------------------------------------------
@@ -198,8 +190,8 @@ class Simulator {
   /// Current simulated time: the executing shard's clock from inside a
   /// handler; the (synchronized) global clock from outside a run.
   [[nodiscard]] util::SimTime now() const;
-  /// Legacy closure shim (see docs/event-engine.md for the migration
-  /// guide); hot-path timers should prefer schedule_timer below.
+  /// Closure shim (see docs/event-engine.md); hot-path timers should
+  /// prefer schedule_timer below.
   /// Shard affinity: the executing shard from inside a handler, shard
   /// 0 from outside.
   void schedule(util::Duration delay, EventQueue::Action action);
@@ -219,24 +211,6 @@ class Simulator {
   void run();
   void run_until(util::SimTime deadline);
   void run_for(util::Duration d) { run_until(now() + d); }
-
-  /// A/B switch for bench_netsim and the determinism suite: disabling
-  /// typed events routes every scheduled event through the legacy
-  /// closure engine (per-event std::function allocation), reproducing
-  /// the pre-pool cost model. Event order and all observable behaviour
-  /// are identical in both modes. Only valid while no events are
-  /// pending, and only on a single-shard simulator (the sharded
-  /// runtime is typed-only).
-  void set_typed_events_enabled(bool on);
-  [[nodiscard]] bool typed_events_enabled() const;
-
-  /// A/B switch for the batch packet plane (SimConfig::batch_delivery):
-  /// toggles batch extraction on every shard's event queue. Safe at any
-  /// time — both modes run the identical event order.
-  void set_batch_delivery_enabled(bool on);
-  [[nodiscard]] bool batch_delivery_enabled() const {
-    return cfg_.batch_delivery;
-  }
 
   /// Swaps the fault-plane configuration (SimConfig::faults) between
   /// runs: the sweep lever for chaos differentials, and the only way
@@ -332,14 +306,13 @@ class Simulator {
   /// External taps are invoked synchronously on the emitting shard's
   /// thread; they are supported on single-shard simulators (the
   /// classic observability path). On a multi-shard simulator the call
-  /// is rejected (debug assert, release no-op): taps would run
-  /// concurrently from every shard thread. Sharded runs use the
-  /// built-in trace recorder below instead, which is per-shard and
-  /// lock-free.
+  /// throws std::logic_error: taps would run concurrently from every
+  /// shard thread. Sharded runs use the built-in trace recorder below
+  /// instead, which is per-shard and lock-free.
   void add_tap(Tap tap) {
     if (!single_shard()) {
-      assert(false && "add_tap is single-shard only; use the trace recorder");
-      return;
+      throw std::logic_error(
+          "add_tap is single-shard only; use the packet trace recorder");
     }
     taps_.push_back(std::move(tap));
   }
@@ -371,6 +344,10 @@ class Simulator {
   [[nodiscard]] const SimCounters& counters() const;
   [[nodiscard]] const SimConfig& config() const { return cfg_; }
   [[nodiscard]] std::uint64_t events_executed() const;
+  /// Event-pool slots allocated across shards: each slab only grows,
+  /// so this is the run's high-water mark of simultaneously pending
+  /// pooled events.
+  [[nodiscard]] std::size_t event_pool_slots() const;
 
  private:
   struct Shard;
@@ -459,8 +436,7 @@ class Simulator {
   /// originated traffic (ICMP), which is exempt from SAV.
   void inject(Shard& sh, Packet pkt, Asn origin_as, bool from_router);
   void deliver(Shard& sh, Packet pkt, HostId host);
-  /// Batch delivery (set_batch_delivery_enabled): processes a cohort
-  /// run, grouping consecutive same-(host, port) UDP packets into one
+  /// Batch delivery: processes a cohort run, grouping consecutive same-(host, port) UDP packets into one
   /// App::on_batch call; redirects, ICMP, and unbound ports fall back
   /// to the scalar deliver() in order.
   void deliver_batch(Shard& sh, std::span<DeliverItem> items);

@@ -1,8 +1,10 @@
-// Equivalence suite for the batch packet plane (docs/architecture.md,
-// "Batch packet plane"): with SimConfig::batch_delivery on, delivery
-// cohorts are extracted as runs, routed through the per-shard route
-// memo, and dispatched via App::on_batch — and every observable output
-// must stay byte-identical to the scalar path. The properties pin:
+// Golden-digest suite for the batch packet plane (docs/architecture.md,
+// "Batch packet plane"): delivery cohorts are extracted as runs,
+// routed through the per-shard route memo, and dispatched via
+// App::on_batch. Every digest below was pinned while the scalar
+// per-event delivery loop still existed and produced the same bytes,
+// so they keep the batch plane byte-identical to it. The properties
+// pin:
 //
 //   * SimCounters, canonical trace digest, correlated transactions,
 //     and events-executed for the MiniWorld scan workload, across
@@ -111,13 +113,12 @@ std::uint64_t fingerprint_digest(const RunFingerprint& fp) {
 }
 
 SimConfig make_cfg(std::uint32_t shards, bool threads, std::uint64_t seed,
-                   double loss, bool batch) {
+                   double loss) {
   SimConfig cfg;
   cfg.seed = seed;
   cfg.shards = shards;
   cfg.shard_threads = threads;
   cfg.loss_rate = loss;
-  cfg.batch_delivery = batch;
   return cfg;
 }
 
@@ -136,39 +137,31 @@ constexpr ScanGolden kScanGolden[] = {
     {2021, 0.08, 0x72de7bdab7d1fe35ull},
 };
 
-TEST(BatchPlane, ScanEqualsScalarAcrossShardsThreadsSeedsAndLoss) {
+TEST(BatchPlane, ScanMatchesPinnedDigestAcrossShardsThreadsSeedsAndLoss) {
   for (const auto& [seed, loss, golden] : kScanGolden) {
-    {
-      const RunFingerprint scalar =
-          run_mini_scan(make_cfg(1, false, seed, loss, false), 6);
-      ASSERT_FALSE(scalar.transactions.empty());
-      EXPECT_EQ(fingerprint_digest(scalar), golden)
-          << "seed=" << seed << " loss=" << loss;
-      for (const std::uint32_t shards : {1u, 2u, 8u}) {
-        for (const bool threads : {false, true}) {
-          if (shards == 1 && threads) continue;
-          const RunFingerprint batched =
-              run_mini_scan(make_cfg(shards, threads, seed, loss, true), 6);
-          EXPECT_EQ(batched, scalar)
-              << "shards=" << shards << " threads=" << threads
-              << " seed=" << seed << " loss=" << loss;
-        }
+    for (const std::uint32_t shards : {1u, 2u, 8u}) {
+      for (const bool threads : {false, true}) {
+        if (shards == 1 && threads) continue;
+        const RunFingerprint fp =
+            run_mini_scan(make_cfg(shards, threads, seed, loss), 6);
+        ASSERT_FALSE(fp.transactions.empty());
+        EXPECT_EQ(fingerprint_digest(fp), golden)
+            << "shards=" << shards << " threads=" << threads
+            << " seed=" << seed << " loss=" << loss;
       }
     }
   }
 }
 
-/// Two scan waves against the same world; the second wave runs with
-/// batching toggled off when `toggle_off_second` is set. Returns both
-/// waves' transactions plus the end-of-run counters and trace digest.
-/// (The waves legitimately differ from each other — wave two is served
-/// from the resolver cache — so the property compares whole runs, not
-/// wave one against wave two.)
-std::string run_two_waves(bool toggle_off_second) {
-  SimConfig cfg = make_cfg(1, false, 2021, 0.0, true);
+/// Two scan waves against the same world. Returns both waves'
+/// transactions plus the end-of-run counters and trace digest. (The
+/// waves legitimately differ from each other — wave two is served from
+/// the resolver cache — so the property pins whole runs, not wave one
+/// against wave two.)
+std::string run_two_waves() {
+  SimConfig cfg = make_cfg(1, false, 2021, 0.0);
   MiniWorld world(cfg);
   world.sim.set_packet_trace_enabled(true);
-  EXPECT_TRUE(world.sim.batch_delivery_enabled());
 
   std::vector<std::unique_ptr<TransparentForwarder>> tfs;
   const Ipv4 addr{20, 0, 9, 1};
@@ -187,8 +180,6 @@ std::string run_two_waves(bool toggle_off_second) {
   first.run_to_completion();
   out << render_transactions(first.correlate());
 
-  if (toggle_off_second) world.sim.set_batch_delivery_enabled(false);
-  EXPECT_EQ(world.sim.batch_delivery_enabled(), !toggle_off_second);
   scan::TransactionalScanner second(world.sim, world.scanner_host, sc);
   second.start({addr});
   second.run_to_completion();
@@ -201,18 +192,12 @@ std::string run_two_waves(bool toggle_off_second) {
   return out.str();
 }
 
-// Golden digest of run_two_waves, pinned from both the toggled and the
-// always-batched run.
+// Golden digest of run_two_waves, pinned while a run that switched to
+// scalar delivery for wave two and an always-batched run agreed on it.
 constexpr std::uint64_t kTwoWavesDigest = 0x9c9544e4e6e1371aull;
 
-TEST(BatchPlane, ToggleIsSafeBetweenRuns) {
-  // The switch is a pure execution-strategy lever: flipping it mid-run,
-  // between scan waves, must leave every observable unchanged versus a
-  // run that kept batching on throughout.
-  EXPECT_EQ(run_two_waves(/*toggle_off_second=*/true),
-            run_two_waves(/*toggle_off_second=*/false));
-  EXPECT_EQ(test::text_digest(run_two_waves(true)), kTwoWavesDigest);
-  EXPECT_EQ(test::text_digest(run_two_waves(false)), kTwoWavesDigest);
+TEST(BatchPlane, TwoWavesMatchPinnedDigest) {
+  EXPECT_EQ(test::text_digest(run_two_waves()), kTwoWavesDigest);
 }
 
 std::string census_fingerprint_text(const classify::Census& census) {
@@ -231,13 +216,11 @@ std::string census_fingerprint_text(const classify::Census& census) {
   return out.str();
 }
 
-std::string census_with_batching(bool batch, std::uint32_t shards,
-                                 double loss) {
+std::string census_text(std::uint32_t shards, double loss) {
   core::CensusConfig cfg;
   cfg.topology.scale = 0.003;
   cfg.topology.max_countries = 3;
   cfg.topology.sim.loss_rate = loss;
-  cfg.topology.sim.batch_delivery = batch;
   cfg.sim_shards = shards;
   cfg.shard_interleaved_targets = true;
   const auto result = core::run_census(cfg);
@@ -246,20 +229,21 @@ std::string census_with_batching(bool batch, std::uint32_t shards,
   return fp;
 }
 
-// Golden digests of census_with_batching per loss rate, pinned from the
-// scalar 1-shard run and the batched 1- and 8-shard runs, which agreed.
+// Golden digests of census_text per loss rate, pinned from the scalar
+// 1-shard run and the batched 1- and 8-shard runs, which agreed.
 constexpr std::pair<double, std::uint64_t> kCensusGolden[] = {
     {0.0, 0xc21cdc2464b78496ull},
     {0.05, 0x4db0ecc154bcb08aull},
 };
 
-TEST(BatchPlane, CensusPipelineEqualsScalar) {
+TEST(BatchPlane, CensusPipelineMatchesPinnedDigest) {
   for (const auto& [loss, golden] : kCensusGolden) {
-    const std::string reference = census_with_batching(false, 1, loss);
-    ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(test::text_digest(reference), golden) << loss;
-    EXPECT_EQ(census_with_batching(true, 1, loss), reference) << loss;
-    EXPECT_EQ(census_with_batching(true, 8, loss), reference) << loss;
+    for (const std::uint32_t shards : {1u, 8u}) {
+      const std::string text = census_text(shards, loss);
+      ASSERT_FALSE(text.empty());
+      EXPECT_EQ(test::text_digest(text), golden)
+          << "loss=" << loss << " shards=" << shards;
+    }
   }
 }
 
@@ -357,17 +341,15 @@ constexpr std::pair<bool, std::uint64_t> kAmpGolden[] = {
     {true, 0xe14057e66ffe3845ull},
 };
 
-TEST(BatchPlane, AmplificationCampaignEqualsScalar) {
+TEST(BatchPlane, AmplificationCampaignMatchesPinnedDigest) {
   for (const auto& [rrl_on, golden] : kAmpGolden) {
-    const std::string reference =
-        run_amp_fingerprint(make_cfg(1, false, 2021, 0.0, false), rrl_on);
-    ASSERT_FALSE(reference.empty());
-    EXPECT_EQ(test::text_digest(reference), golden) << "rrl=" << rrl_on;
-    EXPECT_EQ(run_amp_fingerprint(make_cfg(1, false, 2021, 0.0, true), rrl_on),
-              reference)
-        << "rrl=" << rrl_on;
-    EXPECT_EQ(run_amp_fingerprint(make_cfg(8, true, 2021, 0.0, true), rrl_on),
-              reference)
+    const std::string one_shard =
+        run_amp_fingerprint(make_cfg(1, false, 2021, 0.0), rrl_on);
+    ASSERT_FALSE(one_shard.empty());
+    EXPECT_EQ(test::text_digest(one_shard), golden) << "rrl=" << rrl_on;
+    EXPECT_EQ(test::text_digest(
+                  run_amp_fingerprint(make_cfg(8, true, 2021, 0.0), rrl_on)),
+              golden)
         << "rrl=" << rrl_on;
   }
 }

@@ -1,8 +1,8 @@
 // Determinism regression suite for the typed event engine
-// (docs/event-engine.md): the legacy closure engine and the typed
-// pooled engine must execute the exact same (time, seq) total order —
-// same seed ⇒ identical traces — including same-timestamp bursts and
-// pool slot reuse.
+// (docs/event-engine.md): every event kind executes in the exact
+// (time, seq) total order — checked against a stable-sort oracle —
+// and a mixed simulator scenario reproduces its pinned golden digests,
+// including same-timestamp bursts and pool slot reuse.
 
 #include <gtest/gtest.h>
 
@@ -149,14 +149,13 @@ TEST(EventEngineTest, PoolSlotsAreRecycled) {
   EXPECT_EQ(sink.deliveries.size(), kWave * 10);
 }
 
-TEST(EventEngineTest, LegacyModeExecutesTypedSchedulesIdentically) {
-  // The same mixed schedule, run through both engines, must produce
-  // the same execution order and the same clock.
-  auto record = [](bool typed) {
+TEST(EventEngineTest, MixedScheduleFollowsStableTimeSeqOrder) {
+  // A mixed schedule with clustered timestamps must execute in the
+  // documented total order and leave the clock at the last timestamp.
+  auto record = [] {
     EventQueue q;
     RecordingSink sink;
     q.bind_sink(&sink);
-    q.set_legacy_mode(!typed);
     CountingTimer timer;
     std::vector<std::uint64_t> order;
     for (std::uint64_t i = 0; i < 16; ++i) {
@@ -203,12 +202,11 @@ TEST(EventEngineTest, LegacyModeExecutesTypedSchedulesIdentically) {
   expected.insert(expected.end(), deliveries.begin(), deliveries.end());
   expected.push_back(static_cast<std::uint64_t>(schedule.back().first));
   expected.push_back(schedule.size());
-  EXPECT_EQ(record(/*typed=*/true), expected);
-  EXPECT_EQ(record(/*typed=*/false), expected);
+  EXPECT_EQ(record(), expected);
 }
 
 // ---------------------------------------------------------------------
-// Simulator-level determinism: typed engine vs legacy closures
+// Simulator-level determinism: pinned scenario digests
 // ---------------------------------------------------------------------
 
 struct TraceRecord {
@@ -253,16 +251,11 @@ struct ScenarioResult {
 /// A world exercising every event kind: transparent redirects
 /// (re-injection), low-TTL probes (deferred ICMP), same-timestamp
 /// bursts, echo replies, stream handshake timers, and loss.
-ScenarioResult run_scenario(bool typed_events, bool batch = false) {
+ScenarioResult run_scenario() {
   SimConfig cfg;
   cfg.seed = 99;
   cfg.loss_rate = 0.02;  // exercises the RNG-coupled drop path
-  // Engine A/B only: the legacy closure engine is scalar-only, so both
-  // runs compare under scalar delivery. Batch-vs-scalar equivalence
-  // (canonical trace digests) is tests/batch_plane_test.cpp's job.
-  cfg.batch_delivery = batch;
   Simulator sim(cfg);
-  sim.set_typed_events_enabled(typed_events);
   sim.set_packet_trace_enabled(true);
   auto& net = sim.net();
 
@@ -367,42 +360,21 @@ std::uint64_t tap_trace_digest(const std::vector<TraceRecord>& trace) {
 constexpr std::uint64_t kScenarioDigest = 0xa569056709a1582dull;
 constexpr std::uint64_t kScenarioTapTraceDigest = 0x5a7487e5f376ef2bull;
 
-TEST(EventEngineDeterminismTest, TypedMatchesLegacyByteForByte) {
-  const ScenarioResult typed = run_scenario(true);
-  const ScenarioResult legacy = run_scenario(false);
-
-  EXPECT_FALSE(typed.trace.empty());
-  EXPECT_EQ(typed.trace, legacy.trace);
-  EXPECT_EQ(typed.events_executed, legacy.events_executed);
-  EXPECT_EQ(typed.end_nanos, legacy.end_nanos);
-  EXPECT_EQ(typed.handshakes_rejected, legacy.handshakes_rejected);
-  EXPECT_EQ(typed.handshakes_rejected, 1u);
-
-  EXPECT_EQ(typed.counters.sent, legacy.counters.sent);
-  EXPECT_EQ(typed.counters.delivered, legacy.counters.delivered);
-  EXPECT_EQ(typed.counters.dropped_sav, legacy.counters.dropped_sav);
-  EXPECT_EQ(typed.counters.dropped_loss, legacy.counters.dropped_loss);
-  EXPECT_EQ(typed.counters.dropped_no_route, legacy.counters.dropped_no_route);
-  EXPECT_EQ(typed.counters.ttl_expired, legacy.counters.ttl_expired);
-  EXPECT_EQ(typed.counters.icmp_generated, legacy.counters.icmp_generated);
-  EXPECT_EQ(typed.counters.redirected, legacy.counters.redirected);
-  // The scenario must actually exercise the interesting paths.
-  EXPECT_GT(typed.counters.redirected, 0u);
-  EXPECT_GT(typed.counters.ttl_expired, 0u);
-  EXPECT_GT(typed.counters.icmp_generated, 0u);
-  EXPECT_EQ(scenario_digest(typed), kScenarioDigest);
-  EXPECT_EQ(scenario_digest(legacy), kScenarioDigest);
-}
-
-TEST(EventEngineDeterminismTest, BatchedEngineMatchesPinnedDigest) {
-  const ScenarioResult r = run_scenario(true, /*batch=*/true);
+TEST(EventEngineDeterminismTest, ScenarioMatchesPinnedDigests) {
+  const ScenarioResult r = run_scenario();
+  EXPECT_FALSE(r.trace.empty());
   EXPECT_EQ(scenario_digest(r), kScenarioDigest);
   EXPECT_EQ(tap_trace_digest(r.trace), kScenarioTapTraceDigest);
+  EXPECT_EQ(r.handshakes_rejected, 1u);
+  // The scenario must actually exercise the interesting paths.
+  EXPECT_GT(r.counters.redirected, 0u);
+  EXPECT_GT(r.counters.ttl_expired, 0u);
+  EXPECT_GT(r.counters.icmp_generated, 0u);
 }
 
 TEST(EventEngineDeterminismTest, SameSeedSameTraceOnTypedEngine) {
-  const ScenarioResult a = run_scenario(true);
-  const ScenarioResult b = run_scenario(true);
+  const ScenarioResult a = run_scenario();
+  const ScenarioResult b = run_scenario();
   EXPECT_EQ(a.trace, b.trace);
   EXPECT_EQ(a.events_executed, b.events_executed);
 }
