@@ -376,7 +376,8 @@ RunResult run_workload(const Opts& opts, bool anycast, bool traced,
 /// Address-plane lookup surface (the per-delivery addr→host step): a
 /// dense 2^17-host population spread over the ring, resolved in a
 /// strided (cache-hostile, packet-stream-like) order. The fast side is
-/// Network's flat interned plane; the baseline is a bench-local
+/// Network's flat interned plane; the baseline resolves the same way
+/// (anycast check first) but answers unicast from a bench-local
 /// std::unordered_map built from the same interned address pool.
 /// Owners must be identical element for element (hashed into the
 /// determinism check).
@@ -410,10 +411,10 @@ RunResult run_addr_plane_workload(const Opts& opts, bool flat, bool /*traced*/,
   for (std::uint64_t p = 0; p < lookups; ++p) {
     idx += 48271;  // co-prime stride: successive probes never adjacent
     if (idx >= kLookupHosts) idx -= kLookupHosts;
+    const Asn from = static_cast<Asn>(2 + p % (opts.ases - 1));
     HostId owner = netsim::kInvalidHost;
-    if (flat) {
-      owner = net.resolve_destination(
-          addrs[idx], static_cast<Asn>(2 + p % (opts.ases - 1)));
+    if (flat || net.is_anycast(addrs[idx])) {
+      owner = net.resolve_destination(addrs[idx], from);
     } else if (const auto it = map.find(addrs[idx]); it != map.end()) {
       owner = it->second;
     }

@@ -301,6 +301,9 @@ class ArenaEncoder {
     u16(static_cast<std::uint16_t>(v));
   }
   void bytes(const void* data, std::size_t n) {
+    // Empty rdata arrives as an empty span whose data() may be null, and
+    // memcpy from a null pointer is undefined even for zero bytes.
+    if (n == 0) return;
     std::memcpy(out_ + size_, data, n);
     size_ += n;
   }

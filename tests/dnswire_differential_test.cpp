@@ -294,5 +294,21 @@ TEST(DnswireDifferential, EmptyAndHeaderOnlyMessagesAgree) {
   check_case(msg, /*iter=*/-3);
 }
 
+TEST(DnswireDifferential, EmptyRdataRecordsAgree) {
+  // Zero-length rdata reaches the arena encoder as an empty span with a
+  // null data pointer; the encoder must emit RDLENGTH 0 and copy nothing
+  // (a memcpy from null is undefined even for zero bytes).
+  Message msg;
+  msg.header.id = 0x0E0E;
+  msg.header.qr = true;
+  const Name owner = *Name::parse("empty.odns-study.net");
+  msg.questions.push_back({owner, RrType::a});
+  msg.answers.push_back(ResourceRecord{owner, static_cast<RrType>(10),
+                                       RrClass::in, 60, RawRecord{}});
+  msg.additionals.push_back(
+      ResourceRecord{Name{}, RrType::opt, RrClass::in, 0, OptRecord{}});
+  check_case(msg, /*iter=*/-4);
+}
+
 }  // namespace
 }  // namespace odns
