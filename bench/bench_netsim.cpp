@@ -23,12 +23,12 @@
 // Both gate on exact events-executed and event-pool high-water counts
 // and on a ceiling for heap allocations inside the timed section.
 //
-// Besides timing, every single-engine workload re-runs a traced
-// verification pass on the pinned default configuration, and its
-// counters, trace, and router-hop hashes must reproduce the row's
-// golden digest — recorded while the old baselines (uncached routes,
-// legacy closure events, the map address plane, scalar delivery) still
-// ran beside the fast paths and agreed with them. A fast path must
+// Besides timing, every non-sharded workload re-runs each of its sides
+// in a traced verification pass on the pinned default configuration,
+// and the counters, trace, and router-hop hashes must reproduce the
+// row's golden digest — recorded while the old baselines (uncached
+// routes, legacy closure events, the map address plane, scalar
+// delivery) still ran beside the fast paths and agreed with them. A fast path must
 // never change a decision, only the cost of making it. Results are
 // recorded at the repo root as BENCH_netsim.json (see
 // docs/benchmarks.md).
@@ -81,8 +81,8 @@
 // Exits 1 on a determinism violation, 2 when any workload's speedup
 // falls below --min-speedup or an exact count gate (route-cache,
 // scheduler) misses its pinned value (CI's loud perf-regression
-// gates), 3 when
-// the full-scale census world misses its ≥10⁶-host / ≥10⁴-AS floors,
+// gates), 3 when the full-scale census world misses its ≥10⁶-host /
+// ≥10⁴-AS floors,
 // 4 when a recorded peak RSS exceeds --max-rss-regression kB (CI's
 // loud memory-regression gate).
 
