@@ -55,6 +55,14 @@
 // throughput of the sharded run is recorded alongside. Determinism is
 // checked with the canonical (shard-count-invariant) trace digest.
 //
+// Route computation (docs/architecture.md "Routing fast path"):
+//
+//  * route_span_miss — every (source AS, destination AS) pair of a
+//    census-shaped world routed through a cold RouteCache (cleared
+//    after each source), reported as spans computed per second. Gated
+//    (exit 2) on the pinned all-pairs digest of AS paths and router
+//    hops.
+//
 // Million-host census (docs/architecture.md "Internet-scale worlds &
 // streaming correlation"):
 //
@@ -79,9 +87,9 @@
 //                     [--min-speedup=F] [--census-scale=F]
 //
 // Exits 1 on a determinism violation, 2 when any workload's speedup
-// falls below --min-speedup or an exact count gate (route-cache,
-// scheduler) misses its pinned value (CI's loud perf-regression
-// gates), 3 when the full-scale census world misses its ≥10⁶-host /
+// falls below --min-speedup, an exact count gate (route-cache,
+// scheduler) misses its pinned value or the route_span_miss digest
+// differs from its pinned value (CI's loud perf-regression gates), 3 when the full-scale census world misses its ≥10⁶-host /
 // ≥10⁴-AS floors,
 // 4 when a recorded peak RSS exceeds --max-rss-regression kB (CI's
 // loud memory-regression gate).
@@ -837,6 +845,12 @@ struct WorkloadReport {
   double coverage_loss1_r2 = 0.0;
   double coverage_loss5_r0 = 0.0;
   double coverage_loss5_r2 = 0.0;
+  // route_span_miss row only: the world's AS count and the number of
+  // (source AS, destination AS) pairs routed per pass. The pps fields
+  // of this row count *spans computed* per second, not packets.
+  bool has_span_stats = false;
+  std::uint64_t span_ases = 0;
+  std::uint64_t span_pairs = 0;
 };
 
 // Golden run_digest values of each row's verification pass on the
@@ -1531,6 +1545,98 @@ WorkloadReport bench_codec_workload(const Opts& opts) {
                         });
 }
 
+// --- route span-miss row --------------------------------------------
+
+/// Topology scale of the route_span_miss world: the Internet-scale
+/// census shape (bulk population, eyeball ASes x4) shrunk until every
+/// ordered AS pair can be routed in a few seconds.
+constexpr double kSpanMissScale = 0.002;
+
+/// All-pairs route digest of that world at the pinned seed, recorded
+/// from the per-source full-BFS route tables the early-exit BFS
+/// replaced (same AS paths, router hops and tie-breaks).
+constexpr std::uint64_t kSpanMissDigest = 0x5d3073c7dad9619eull;
+
+struct SpanMissRun {
+  double seconds = 0.0;
+  std::uint64_t digest = kFnvBasis;
+  std::uint64_t pairs = 0;
+};
+
+/// Routes every (source AS, destination AS) pair through one private
+/// RouteCache, cleared after each source, so every lookup is a cold
+/// span miss: one early-exit BFS plus the span build. Destinations are
+/// one probe host per AS from 198.18/15 (the benchmarking range, unused
+/// by the world builder). Hashes every AS path and router hop.
+SpanMissRun run_span_miss(const netsim::Network& net,
+                          const std::vector<Ipv4>& probes) {
+  SpanMissRun r;
+  netsim::RouteCache cache;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const Asn from : net.all_asns()) {
+    for (const Ipv4 dst : probes) {
+      const auto view = net.route_view(cache, from, dst);
+      ++r.pairs;
+      if (!view) {
+        r.digest = fnv1a64(r.digest, 0xFFFFFFFFu);
+        continue;
+      }
+      r.digest = fnv1a64(r.digest, view->as_path->size());
+      for (const Asn asn : *view->as_path) r.digest = fnv1a64(r.digest, asn);
+      r.digest = fnv1a64(r.digest, view->router_hops->size());
+      for (const Ipv4 hop : *view->router_hops) {
+        r.digest = fnv1a64(r.digest, hop.value());
+      }
+    }
+    cache.clear();
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  return r;
+}
+
+/// The route_span_miss row: cold-cache route computation over every
+/// ordered AS pair of a census-shaped world, best of 3 passes, so the
+/// routing layer has its own number. Gated (exit 2) on the pinned
+/// all-pairs digest; every pass must also agree with the others.
+WorkloadReport bench_span_miss_workload() {
+  constexpr int kRepeats = 3;
+  topo::TopologyConfig cfg;
+  cfg.scale = kSpanMissScale;
+  cfg.seed = Opts::pinned().seed;
+  cfg.sim.seed = Opts::pinned().seed;
+  cfg.bulk_population = true;
+  cfg.eyeball_as_multiplier = 4.0;
+  const auto world = topo::TopologyBuilder::build(cfg);
+  auto& net = world->sim().net();
+  std::vector<Ipv4> probes;
+  std::uint32_t next = (198u << 24) | (18u << 16) | 1u;
+  for (const Asn asn : net.all_asns()) {
+    probes.emplace_back(next++);
+    (void)net.add_host(asn, {probes.back()});
+  }
+  net.freeze_addr_plane();
+
+  WorkloadReport rep;
+  rep.name = "route_span_miss";
+  rep.fast_label = "cold_span";
+  rep.has_span_stats = true;
+  rep.span_ases = net.as_count();
+  SpanMissRun best;
+  rep.identical = true;
+  for (int i = 0; i < kRepeats; ++i) {
+    const SpanMissRun run = run_span_miss(net, probes);
+    rep.identical = rep.identical && (i == 0 || run.digest == best.digest);
+    if (i == 0 || run.seconds < best.seconds) best = run;
+  }
+  rep.span_pairs = best.pairs;
+  rep.fast_pps = static_cast<double>(best.pairs) / best.seconds;
+  rep.digest = best.digest;
+  rep.has_count_gate = true;
+  rep.count_gate_ok = best.digest == kSpanMissDigest;
+  return rep;
+}
+
 // --- million-host census row ----------------------------------------
 
 /// Resets the kernel's peak-RSS watermark (Linux: "5" into
@@ -1778,7 +1884,9 @@ WorkloadReport bench_fault_plane_workload(const Opts& opts) {
 }
 
 void print_report(const WorkloadReport& r) {
-  const char* unit = r.has_census_stats ? " hosts/s" : " pkts/s";
+  const char* unit = r.has_census_stats  ? " hosts/s"
+                     : r.has_span_stats ? " spans/s"
+                                        : " pkts/s";
   std::cout << r.name << "\n";
   if (!r.baseline_label.empty()) {
     std::cout << "  " << r.baseline_label << ": "
@@ -1815,6 +1923,10 @@ void print_report(const WorkloadReport& r) {
               << "  memory:   peak RSS " << r.peak_rss_kb / 1024
               << " MB, streaming window " << r.peak_pending_probes
               << " pending probes\n";
+  }
+  if (r.has_span_stats) {
+    std::cout << "  world:    " << r.span_ases << " ASes, " << r.span_pairs
+              << " (source AS, destination AS) pairs per pass\n";
   }
   if (r.has_fault_stats) {
     std::cout << "  faults:   coverage " << r.coverage * 100.0 << "% ("
@@ -1895,6 +2007,10 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
           << ", \"census_hash\": \"" << std::hex << r.census_hash << std::dec
           << "\"";
     }
+    if (r.has_span_stats) {
+      out << ", \"unit\": \"spans_per_second\", \"ases\": " << r.span_ases
+          << ", \"pairs\": " << r.span_pairs;
+    }
     if (r.has_fault_stats) {
       out << ", \"coverage\": " << r.coverage
           << ", \"probes_retried\": " << r.probes_retried
@@ -1946,6 +2062,7 @@ int main(int argc, char** argv) {
   reps.push_back(bench_amplification_workload(opts));
   reps.push_back(bench_codec_workload(opts));
   reps.push_back(bench_batch_workload(opts));
+  reps.push_back(bench_span_miss_workload());
   reps.push_back(bench_million_host_workload(opts));
   reps.push_back(bench_fault_plane_workload(opts));
   for (const auto& r : reps) print_report(r);
@@ -1962,7 +2079,8 @@ int main(int argc, char** argv) {
   for (const auto& r : reps) {
     if (!r.count_gate_ok) {
       std::cerr << "FAIL: " << r.name
-                << " missed its pinned route-cache / scheduler counts\n";
+                << " missed its pinned route-cache / scheduler counts "
+                   "or all-pairs route digest\n";
       return 2;
     }
     if (opts.min_speedup > 0.0 && !r.baseline_label.empty() &&

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -55,6 +54,7 @@ AsInfo& Network::add_as(const AsConfig& cfg) {
   asn_order_.push_back(cfg.asn);
   auto& info = ases_.emplace_back();
   info.cfg = cfg;
+  adj_.emplace_back();
   info.router_ips.reserve(static_cast<std::size_t>(cfg.internal_hops));
   for (int i = 0; i < cfg.internal_hops; ++i) {
     auto ip = allocate_router_ip();
@@ -69,16 +69,18 @@ AsInfo& Network::add_as(const AsConfig& cfg) {
 }
 
 void Network::link(Asn a, Asn b) {
-  auto* ia = find_as_mutable(a);
-  auto* ib = find_as_mutable(b);
-  if (ia == nullptr || ib == nullptr) {
+  const auto ia = asn_to_index_.find(a);
+  const auto ib = asn_to_index_.find(b);
+  if (ia == asn_to_index_.end() || ib == asn_to_index_.end()) {
     throw std::invalid_argument("link between unknown ASNs");
   }
   if (a == b) return;
-  if (std::find(ia->neighbors.begin(), ia->neighbors.end(), b) ==
-      ia->neighbors.end()) {
-    ia->neighbors.push_back(b);
-    ib->neighbors.push_back(a);
+  auto& na = ases_[ia->second].neighbors;
+  if (std::find(na.begin(), na.end(), b) == na.end()) {
+    na.push_back(b);
+    ases_[ib->second].neighbors.push_back(a);
+    adj_[ia->second].push_back(ib->second);
+    adj_[ib->second].push_back(ia->second);
     ++graph_epoch_;
     bump_epoch();
   }
@@ -177,8 +179,10 @@ AsInfo* Network::find_as_mutable(Asn asn) {
 }
 
 std::size_t Network::as_index(Asn asn) const {
-  auto it = asn_to_index_.find(asn);
-  assert(it != asn_to_index_.end());
+  const auto it = asn_to_index_.find(asn);
+  if (it == asn_to_index_.end()) {
+    throw std::out_of_range("unknown ASN " + std::to_string(asn));
+  }
   return it->second;
 }
 
@@ -299,44 +303,25 @@ bool Network::source_is_legitimate(Asn asn, util::Ipv4 src) const {
   return owns_source(*info, src);
 }
 
-const RouteCache::BfsEntry& Network::bfs_for(RouteCache& cache,
-                                             Asn src) const {
-  auto [bfs_it, bfs_inserted] = cache.bfs.try_emplace(src);
-  auto& entry = bfs_it->second;
-  if (!bfs_inserted && entry.graph_epoch == graph_epoch_) return entry;
-  if (bfs_inserted) {
-    // FIFO bound: evict the oldest source AS once over the cap. Only
-    // scratch is dropped — route/span entries derived from it stay
-    // cached — and a re-missed source recomputes identically.
-    cache.bfs_order.push_back(src);
-    while (cache.bfs.size() > RouteCache::kMaxBfsEntries) {
-      const Asn victim = cache.bfs_order.front();
-      cache.bfs_order.pop_front();
-      if (victim != src) cache.bfs.erase(victim);
-    }
-  }
-
-  constexpr auto kUnreached = std::numeric_limits<std::uint16_t>::max();
-  entry.graph_epoch = graph_epoch_;
-  entry.dist.assign(ases_.size(), kUnreached);
-  entry.parent.assign(ases_.size(), 0xFFFFFFFFu);
-  std::deque<std::uint32_t> queue;
-  const auto s = static_cast<std::uint32_t>(as_index(src));
-  entry.dist[s] = 0;
-  queue.push_back(s);
-  while (!queue.empty()) {
-    const auto u = queue.front();
-    queue.pop_front();
-    for (Asn nb : ases_[u].neighbors) {
-      const auto v = static_cast<std::uint32_t>(as_index(nb));
-      if (entry.dist[v] == kUnreached) {
-        entry.dist[v] = static_cast<std::uint16_t>(entry.dist[u] + 1);
-        entry.parent[v] = u;
+const std::vector<std::uint16_t>& Network::dist_field(RouteCache& cache,
+                                                      std::uint32_t to) const {
+  auto& field = cache.dist_fields[to];
+  if (field.graph_epoch == graph_epoch_) return field.dist;
+  field.graph_epoch = graph_epoch_;
+  field.dist.assign(ases_.size(), RouteCache::kUnreached);
+  // A local queue: the cache's scratch holds the paused route search.
+  std::vector<std::uint32_t> queue{to};
+  field.dist[to] = 0;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const auto u = queue[head];
+    for (const auto v : adj_[u]) {
+      if (field.dist[v] == RouteCache::kUnreached) {
+        field.dist[v] = static_cast<std::uint16_t>(field.dist[u] + 1);
         queue.push_back(v);
       }
     }
   }
-  return entry;
+  return field.dist;
 }
 
 int Network::as_distance(Asn from, Asn to) const {
@@ -344,24 +329,81 @@ int Network::as_distance(Asn from, Asn to) const {
 }
 
 int Network::as_distance(RouteCache& cache, Asn from, Asn to) const {
-  if (!asn_to_index_.contains(from) || !asn_to_index_.contains(to)) return -1;
-  const auto& bfs = bfs_for(cache, from);
-  const auto d = bfs.dist[as_index(to)];
-  return d == std::numeric_limits<std::uint16_t>::max() ? -1 : d;
+  const auto f = asn_to_index_.find(from);
+  const auto t = asn_to_index_.find(to);
+  if (f == asn_to_index_.end() || t == asn_to_index_.end()) return -1;
+  // Rooted at the destination: the graph is undirected, so this is the
+  // source-rooted distance, and the anycast member ASes asked about
+  // are few while the sources asking are many.
+  const auto d = dist_field(cache, t->second)[f->second];
+  return d == RouteCache::kUnreached ? -1 : d;
 }
 
-std::vector<Asn> Network::as_path(RouteCache& cache, Asn from, Asn to) const {
-  const auto& bfs = bfs_for(cache, from);
-  const auto t = as_index(to);
-  if (bfs.dist[t] == std::numeric_limits<std::uint16_t>::max()) return {};
-  std::vector<Asn> rev;
-  for (auto cur = static_cast<std::uint32_t>(t); cur != 0xFFFFFFFFu;
-       cur = bfs.parent[cur]) {
-    rev.push_back(ases_[cur].cfg.asn);
-    if (ases_[cur].cfg.asn == from) break;
+void Network::trace_path(RouteCache& cache, std::uint32_t s, std::uint32_t t,
+                         PathSpan& span) const {
+  auto& sc = cache.scratch;
+  if (sc.graph_epoch != graph_epoch_ || sc.source != s) {
+    if (sc.seen.size() < ases_.size()) {
+      sc.seen.resize(ases_.size(), 0);
+      sc.parent.resize(ases_.size());
+    }
+    if (++sc.stamp == 0) {  // wrapped: every old mark must read unseen
+      std::fill(sc.seen.begin(), sc.seen.end(), 0);
+      sc.stamp = 1;
+    }
+    sc.source = s;
+    sc.graph_epoch = graph_epoch_;
+    sc.seen[s] = sc.stamp;
+    sc.queue.assign(1, s);
+    sc.head = 0;
+    sc.edge = 0;
   }
-  std::reverse(rev.begin(), rev.end());
-  return rev;
+  // Breadth-first in adjacency order from where the search paused,
+  // until `t` is discovered. Every AS on t's parent chain was
+  // discovered before t, so the chain is exactly the one a full BFS
+  // from `s` would record.
+  const std::uint32_t stamp = sc.stamp;
+  bool found = sc.seen[t] == stamp;
+  while (!found && sc.head < sc.queue.size()) {
+    const auto u = sc.queue[sc.head];
+    const auto& nbrs = adj_[u];
+    while (sc.edge < nbrs.size()) {
+      const auto v = nbrs[sc.edge++];
+      if (sc.seen[v] == stamp) continue;
+      sc.seen[v] = stamp;
+      sc.parent[v] = u;
+      sc.queue.push_back(v);
+      if (v == t) {
+        found = true;
+        break;
+      }
+    }
+    if (!found) {
+      ++sc.head;
+      sc.edge = 0;
+    }
+  }
+  if (!found) return;
+
+  // Size both vectors from one walk of the chain, then fill them back
+  // to front on a second.
+  std::size_t len = 1;
+  std::size_t hops = ases_[t].router_ips.size();
+  for (auto cur = t; cur != s; cur = sc.parent[cur]) {
+    ++len;
+    hops += ases_[sc.parent[cur]].router_ips.size();
+  }
+  span.as_path.resize(len);
+  span.router_hops.resize(hops);
+  auto cur = t;
+  while (len-- > 0) {
+    const auto& info = ases_[cur];
+    span.as_path[len] = info.cfg.asn;
+    hops -= info.router_ips.size();
+    std::copy(info.router_ips.begin(), info.router_ips.end(),
+              span.router_hops.begin() + static_cast<std::ptrdiff_t>(hops));
+    if (cur != s) cur = sc.parent[cur];
+  }
 }
 
 std::optional<Route> Network::route(HostId from, util::Ipv4 dst) const {
@@ -370,24 +412,14 @@ std::optional<Route> Network::route(HostId from, util::Ipv4 dst) const {
 
 std::shared_ptr<const PathSpan> Network::span_for(RouteCache& cache, Asn from,
                                                   Asn to) const {
-  const auto key = static_cast<std::uint64_t>(as_index(from)) << 32 |
-                   static_cast<std::uint64_t>(as_index(to));
-  auto& entry = cache.spans[key];
+  const auto s = static_cast<std::uint32_t>(as_index(from));
+  const auto t = static_cast<std::uint32_t>(as_index(to));
+  auto& entry = cache.spans[static_cast<std::uint64_t>(s) << 32 | t];
   if (entry.epoch == epoch_) return entry.span;
   entry.epoch = epoch_;
-  entry.span = nullptr;
   auto span = std::make_shared<PathSpan>();
-  span->as_path = as_path(cache, from, to);
-  if (span->as_path.empty()) return nullptr;
-  std::size_t total = 0;
-  for (Asn asn : span->as_path) total += ases_[as_index(asn)].router_ips.size();
-  span->router_hops.reserve(total);
-  for (Asn asn : span->as_path) {
-    const auto& info = ases_[as_index(asn)];
-    span->router_hops.insert(span->router_hops.end(), info.router_ips.begin(),
-                             info.router_ips.end());
-  }
-  entry.span = std::move(span);
+  trace_path(cache, s, t, *span);
+  entry.span = span->as_path.empty() ? nullptr : std::move(span);
   return entry.span;
 }
 
@@ -406,6 +438,11 @@ const RouteCache::RouteEntry& Network::lookup_route(RouteCache& cache,
   const auto key = static_cast<std::uint64_t>(from) << 32 |
                    static_cast<std::uint64_t>(dst.value());
   auto [it, inserted] = cache.routes.try_emplace(key);
+  if (inserted && !asn_to_index_.contains(from)) {
+    // ASes are never removed, so only a new key can name an unknown one.
+    cache.routes.erase(it);
+    throw std::out_of_range("route from unknown ASN " + std::to_string(from));
+  }
   RouteCache::RouteEntry& entry = it->second;
   if (!inserted && entry.epoch == epoch_) {
     ++cache.stats.hits;

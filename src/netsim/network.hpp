@@ -117,6 +117,7 @@ class Network {
   [[nodiscard]] const std::vector<Asn>& all_asns() const { return asn_order_; }
   [[nodiscard]] std::size_t as_count() const { return ases_.size(); }
   /// Dense index of an ASN in construction order (stable, 0-based).
+  /// Throws std::out_of_range for an ASN that was never added.
   [[nodiscard]] std::size_t as_index(Asn asn) const;
 
   /// Exact-match host owning `addr` (unicast), or the nearest anycast
@@ -138,13 +139,17 @@ class Network {
   /// SAV path reuse the `find_as` lookup it has already paid for.
   [[nodiscard]] static bool owns_source(const AsInfo& info, util::Ipv4 src);
 
-  /// AS-level distance (hop count) between two ASes; -1 if unreachable.
+  /// AS-level distance (hop count) between two ASes; -1 if unreachable
+  /// or either ASN is unknown. Served from a distance field rooted at
+  /// `to` (the graph is undirected), so asking about many sources and
+  /// few destinations — anycast nearest-PoP selection — is cheap.
   [[nodiscard]] int as_distance(Asn from, Asn to) const;
   [[nodiscard]] int as_distance(RouteCache& cache, Asn from, Asn to) const;
 
   /// Computes the router-level route from a host to an IP address.
   /// Returns nullopt when the destination does not resolve or no AS
-  /// path exists.
+  /// path exists. Every route-taking overload throws std::out_of_range
+  /// when the source ASN is unknown.
   [[nodiscard]] std::optional<Route> route(HostId from, util::Ipv4 dst) const;
   /// Same, but originating inside an AS (used for ICMP errors emitted
   /// by routers).
@@ -191,9 +196,15 @@ class Network {
       const;
 
  private:
-  const RouteCache::BfsEntry& bfs_for(RouteCache& cache, Asn src) const;
-  [[nodiscard]] std::vector<Asn> as_path(RouteCache& cache, Asn from,
-                                         Asn to) const;
+  /// Fills `span` with the AS path (and its router hops) from AS index
+  /// `s` to AS index `t`: the cache's BFS from `s` in adjacency order,
+  /// resumed if it is already paused there, run until `t` is
+  /// discovered. Leaves `span` empty when `t` is unreachable.
+  void trace_path(RouteCache& cache, std::uint32_t s, std::uint32_t t,
+                  PathSpan& span) const;
+  /// Hop distances to AS index `to`, via the epoch-tagged field cache.
+  const std::vector<std::uint16_t>& dist_field(RouteCache& cache,
+                                               std::uint32_t to) const;
   util::Ipv4 allocate_router_ip();
   void bump_epoch() { ++epoch_; }
   /// Span for an AS pair, via the epoch-tagged span cache.
@@ -218,6 +229,10 @@ class Network {
   std::vector<AsInfo> ases_;
   std::vector<Asn> asn_order_;
   std::unordered_map<Asn, std::uint32_t> asn_to_index_;
+  /// AS-index adjacency: adj_[i] mirrors ases_[i].neighbors in the same
+  /// order (the BFS tie-break), so route computation never hashes an
+  /// ASN. Written only by add_as/link.
+  std::vector<std::vector<std::uint32_t>> adj_;
   std::vector<Host> hosts_;
 
   // --- flat interned address plane ---------------------------------
@@ -257,9 +272,9 @@ class Network {
 
   std::uint64_t epoch_ = 1;
   /// Bumped only by graph-shape mutations (add_as / link) — the only
-  /// events that invalidate BFS results. Keeping it separate from
+  /// events that invalidate distance fields. Keeping it separate from
   /// epoch_ means add_host/announce storms during world construction
-  /// never force BFS recomputation.
+  /// never force their recomputation.
   std::uint64_t graph_epoch_ = 1;
   /// Cache behind the classic (cache-less) API shapes; shard 0 /
   /// single-threaded callers share it.

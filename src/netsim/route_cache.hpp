@@ -5,22 +5,36 @@
 // cache-taking overloads of `route_view` etc. fill these structures —
 // while this class is dumb epoch-tagged storage:
 //
-//   * route entries:  (source ASN, destination IP) -> span + dst host
-//   * span entries:   (source AS, destination AS)  -> router-hop span
-//   * BFS entries:    source AS -> distances/parents over the AS graph
+//   * route entries:   (source ASN, destination IP) -> span + dst host
+//   * span entries:    (source AS, destination AS)  -> router-hop span
+//   * distance fields: destination AS -> hop distance of every AS to it
+//                      (anycast nearest-PoP selection; one per anycast
+//                      member AS ever asked about)
+//   * BFS scratch:     one paused BFS (stamp-marked visited array, flat
+//                      queue, parent array, resume cursor), shared by
+//                      every span miss
+//
+// There are no per-source BFS tables. A span miss runs a BFS from the
+// source over the Network's AS-index adjacency only until the
+// destination AS is discovered; its parent chain is then already final,
+// so the path equals the full-BFS parent tree's, tie-breaks included.
+// The search is then paused, not discarded: the next miss from the
+// same source resumes it (or reads a destination it already reached),
+// and a miss from any other source starts over. A scan probing many
+// destinations from one AS therefore pays about one BFS in total.
 //
 // Invalidation contract (docs/architecture.md, "Routing fast path"):
-// route and span entries are stamped with Network::topology_epoch();
-// BFS entries with the graph epoch (bumped only by add_as/link, the
-// mutations that change the AS graph shape). A lookup that finds an
-// older stamp recomputes the entry in place — there is no
-// mutation-time scan, so world construction stays cheap and the scan
-// phase runs entirely on warm entries. Under sharding each shard's
-// cache converges independently; entries are never shared between
-// caches, so no locking is needed anywhere on the per-packet path.
+// a cache serves one Network. Route and span entries are stamped with
+// Network::topology_epoch(); distance fields and the paused search
+// with the graph epoch (bumped only by add_as/link, the mutations that
+// change the AS graph shape). A lookup that finds an older stamp
+// recomputes the entry in place — there is no mutation-time scan, so
+// world construction stays cheap and the scan phase runs entirely on
+// warm entries. Under sharding each shard's cache converges
+// independently; entries and scratch are never shared between caches,
+// so no locking is needed anywhere on the per-packet path.
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -59,26 +73,35 @@ class RouteCache {
     std::shared_ptr<const PathSpan> span;  // nullptr: unroutable
     HostId dst_host = kInvalidHost;
   };
-  struct BfsEntry {
+  /// Hop distance from every AS (by AS index) to one destination AS;
+  /// kUnreached where no path exists.
+  struct DistField {
     std::uint64_t graph_epoch = 0;
-    std::vector<std::uint16_t> dist;    // indexed by AS index
-    std::vector<std::uint32_t> parent;  // AS index of predecessor
+    std::vector<std::uint16_t> dist;
   };
+  static constexpr std::uint16_t kUnreached = 0xFFFF;
 
-  /// FIFO bound on live BFS entries. A BfsEntry is O(AS count) —
-  /// ~90 KB in a 15k-AS world — and route/span entries cache the
-  /// derived results, so the full per-source scratch is only needed on
-  /// span misses. Unbounded, "every forwarder AS ever probed" retains
-  /// O(ASes²) bytes (~1.3 GB at million-host scale); bounded, the hot
-  /// working set (concurrent probe lifetimes per shard) stays resident
-  /// and cold sources are recomputed deterministically on re-miss.
-  static constexpr std::size_t kMaxBfsEntries = 1024;
+  /// The paused BFS, sized to the AS count when a search starts. An AS
+  /// has been discovered iff `seen[i] == stamp`, so a new search costs
+  /// one stamp bump instead of clearing O(AS) arrays. The search from
+  /// `source` resumes at neighbour `edge` of `queue[head]`; it is valid
+  /// only while `graph_epoch` matches the Network's (0: none).
+  struct BfsScratch {
+    std::vector<std::uint32_t> seen;
+    std::vector<std::uint32_t> parent;  // valid where seen == stamp
+    std::vector<std::uint32_t> queue;   // discovery order
+    std::uint32_t stamp = 0;
+    std::uint32_t source = 0;
+    std::uint64_t graph_epoch = 0;
+    std::size_t head = 0;
+    std::size_t edge = 0;
+  };
 
   void clear() {
     routes.clear();
     spans.clear();
-    bfs.clear();
-    bfs_order.clear();
+    dist_fields.clear();
+    scratch.graph_epoch = 0;
   }
 
   [[nodiscard]] const RouteCacheStats& cache_stats() const { return stats; }
@@ -90,10 +113,9 @@ class RouteCache {
   std::unordered_map<std::uint64_t, RouteEntry> routes;
   // (source AS index << 32 | destination AS index) -> hop span.
   std::unordered_map<std::uint64_t, SpanEntry> spans;
-  // source ASN -> BFS over the AS adjacency graph. Bounded by
-  // kMaxBfsEntries via bfs_order (insertion-order eviction).
-  std::unordered_map<Asn, BfsEntry> bfs;
-  std::deque<Asn> bfs_order;
+  // destination AS index -> distances to it (see DistField).
+  std::unordered_map<std::uint32_t, DistField> dist_fields;
+  BfsScratch scratch;
   RouteCacheStats stats;
 };
 

@@ -166,6 +166,29 @@ TEST_F(NetworkFixture, DuplicateAddressThrows) {
   EXPECT_THROW(net().add_host(1, {Ipv4{10, 1, 0, 1}}), std::invalid_argument);
 }
 
+TEST_F(NetworkFixture, UnknownSourceAsnThrowsOutOfRange) {
+  // Release builds once dereferenced the index map's end() here. Every
+  // route-taking path must fail loudly instead, whether or not the
+  // destination resolves; as_distance keeps its documented -1.
+  const Ipv4 owned{10, 3, 0, 1};
+  const Ipv4 unowned{172, 16, 0, 1};
+  EXPECT_THROW((void)net().route_from_as(999, owned), std::out_of_range);
+  EXPECT_THROW((void)net().route_from_as(999, unowned), std::out_of_range);
+  EXPECT_THROW((void)net().route_view(999, owned), std::out_of_range);
+  RouteCache cache;
+  EXPECT_THROW((void)net().route_view(cache, 999, owned), std::out_of_range);
+  EXPECT_THROW((void)net().route_entry(cache, 999, owned), std::out_of_range);
+  EXPECT_THROW((void)net().as_index(999), std::out_of_range);
+  EXPECT_EQ(net().as_distance(999, 1), -1);
+  EXPECT_EQ(net().as_distance(cache, 1, 999), -1);
+  // A failed lookup leaves nothing behind: known sources still route
+  // and the stats count no phantom entry.
+  EXPECT_TRUE(cache.routes.empty());
+  EXPECT_EQ(cache.stats.misses, 0u);
+  ASSERT_TRUE(net().route_view(cache, 1, owned).has_value());
+  EXPECT_EQ(cache.stats.misses, 1u);
+}
+
 TEST_F(NetworkFixture, DuplicateAsnThrows) {
   AsConfig cfg;
   cfg.asn = 1;
