@@ -63,6 +63,15 @@
 //    (exit 2) on the pinned all-pairs digest of AS paths and router
 //    hops.
 //
+// DNSRoute++ (docs/architecture.md "Probe pacing"):
+//
+//  * dnsroute_trace — DNSRoute++ over every transparent forwarder of a
+//    census-shaped world (the paper-census configuration at a small
+//    scale), reported as probes sent per second. Gated (exit 2) on the
+//    pinned digest of every traced path and on a ceiling for the
+//    event-pool high-water mark of census plus trace, which lazy
+//    pacing keeps at in-flight work instead of one slot per probe.
+//
 // Million-host census (docs/architecture.md "Internet-scale worlds &
 // streaming correlation"):
 //
@@ -88,8 +97,9 @@
 //
 // Exits 1 on a determinism violation, 2 when any workload's speedup
 // falls below --min-speedup, an exact count gate (route-cache,
-// scheduler) misses its pinned value or the route_span_miss digest
-// differs from its pinned value (CI's loud perf-regression gates), 3 when the full-scale census world misses its ≥10⁶-host /
+// scheduler) misses its pinned value, the route_span_miss or
+// dnsroute_trace digest differs from its pinned value or the
+// dnsroute_trace pool ceiling is exceeded (CI's loud perf-regression gates), 3 when the full-scale census world misses its ≥10⁶-host /
 // ≥10⁴-AS floors,
 // 4 when a recorded peak RSS exceeds --max-rss-regression kB (CI's
 // loud memory-regression gate).
@@ -110,6 +120,7 @@
 
 #include "classify/analysis.hpp"
 #include "core/census.hpp"
+#include "dnsroute/dnsroute.hpp"
 #include "dnswire/arena.hpp"
 #include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
@@ -851,6 +862,14 @@ struct WorkloadReport {
   bool has_span_stats = false;
   std::uint64_t span_ases = 0;
   std::uint64_t span_pairs = 0;
+  // dnsroute_trace row only: targets traced, probes sent per pass, and
+  // the event-pool high-water mark against its ceiling. The pps fields
+  // of this row count *probes sent* per second.
+  bool has_trace_stats = false;
+  std::uint64_t trace_targets = 0;
+  std::uint64_t trace_probes = 0;
+  std::uint64_t trace_pool_slots = 0;
+  std::uint64_t trace_pool_ceiling = 0;
 };
 
 // Golden run_digest values of each row's verification pass on the
@@ -1637,6 +1656,103 @@ WorkloadReport bench_span_miss_workload() {
   return rep;
 }
 
+// --- DNSRoute++ trace row --------------------------------------------
+
+/// Topology scale of the dnsroute_trace world: the paper-census shape
+/// (default CensusConfig: per-host nodes, one shard, single-vantage
+/// scanner), small enough to census and trace three times in seconds.
+constexpr double kTraceScale = 0.01;
+
+/// Digest of every TracePath field of the trace at the pinned seed,
+/// recorded while DNSRoute++ still armed one timer per probe up front
+/// and matched replies through per-probe maps.
+constexpr std::uint64_t kTraceDigest = 0x5ac728366ae5aedaull;
+
+/// Event-pool high-water ceiling of census plus trace. Timers armed up
+/// front held a pool slot per planned probe (175,886 slots for the
+/// 175,170-probe trace); with one pending pacing timer per sender the
+/// pool holds in-flight work (4,879 slots), so the ceiling leaves 2x.
+constexpr std::uint64_t kTracePoolCeiling = 10000;
+
+struct TraceRun {
+  double seconds = 0.0;
+  std::uint64_t digest = kFnvBasis;
+  std::uint64_t targets = 0;
+  std::uint64_t probes = 0;
+  std::size_t pool_slots = 0;
+};
+
+/// Censuses the world, then times DNSRoute++ (default max TTL) over
+/// every transparent forwarder it classified, from the scanner host.
+TraceRun run_dnsroute_trace() {
+  core::CensusConfig cfg;
+  cfg.topology.scale = kTraceScale;
+  cfg.topology.seed = Opts::pinned().seed;
+  core::CensusResult census = core::run_census(cfg);
+  std::vector<Ipv4> targets;
+  for (const auto& item : census.classified) {
+    if (item.klass == classify::Klass::transparent_forwarder) {
+      targets.push_back(item.txn.target);
+    }
+  }
+  Simulator& sim = census.world->sim();
+  sim.clear_vantage_capture();
+  dnsroute::DnsrouteConfig rc;
+  rc.qname = census.world->scan_name();
+  dnsroute::DnsroutePlusPlus tracer(sim, census.world->scanner_host(), rc);
+
+  TraceRun r;
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto paths = tracer.run(targets);
+  const auto t1 = std::chrono::steady_clock::now();
+  r.seconds = std::chrono::duration<double>(t1 - t0).count();
+  r.targets = targets.size();
+  r.probes = targets.size() * static_cast<std::uint64_t>(rc.max_ttl);
+  r.pool_slots = sim.event_pool_slots();
+  for (const auto& p : paths) {
+    r.digest = fnv1a64(r.digest, p.target.value());
+    r.digest = fnv1a64(r.digest, static_cast<std::uint32_t>(p.target_distance));
+    r.digest = fnv1a64(r.digest, p.got_answer);
+    r.digest = fnv1a64(r.digest, p.resolver.value());
+    r.digest = fnv1a64(r.digest, static_cast<std::uint32_t>(p.answer_ttl));
+    for (const auto& hop : p.hops) {
+      r.digest = fnv1a64(r.digest, hop.responded);
+      r.digest = fnv1a64(r.digest, hop.addr.value());
+    }
+  }
+  return r;
+}
+
+/// The dnsroute_trace row: best of 3 passes, each on a fresh census
+/// (a trace warms resolver caches, so passes never share a world).
+/// Gated (exit 2) on the pinned path digest and the pool ceiling;
+/// every pass must also agree with the others.
+WorkloadReport bench_dnsroute_trace_workload() {
+  constexpr int kRepeats = 3;
+  WorkloadReport rep;
+  rep.name = "dnsroute_trace";
+  rep.fast_label = "dnsroute";
+  rep.has_trace_stats = true;
+  rep.identical = true;
+  TraceRun best;
+  for (int i = 0; i < kRepeats; ++i) {
+    const TraceRun run = run_dnsroute_trace();
+    rep.identical = rep.identical && (i == 0 || run.digest == best.digest);
+    rep.trace_pool_slots = std::max<std::uint64_t>(rep.trace_pool_slots,
+                                                   run.pool_slots);
+    if (i == 0 || run.seconds < best.seconds) best = run;
+  }
+  rep.trace_targets = best.targets;
+  rep.trace_probes = best.probes;
+  rep.trace_pool_ceiling = kTracePoolCeiling;
+  rep.fast_pps = static_cast<double>(best.probes) / best.seconds;
+  rep.digest = best.digest;
+  rep.has_count_gate = true;
+  rep.count_gate_ok = best.digest == kTraceDigest &&
+                      rep.trace_pool_slots <= kTracePoolCeiling;
+  return rep;
+}
+
 // --- million-host census row ----------------------------------------
 
 /// Resets the kernel's peak-RSS watermark (Linux: "5" into
@@ -1886,7 +2002,8 @@ WorkloadReport bench_fault_plane_workload(const Opts& opts) {
 void print_report(const WorkloadReport& r) {
   const char* unit = r.has_census_stats  ? " hosts/s"
                      : r.has_span_stats ? " spans/s"
-                                        : " pkts/s";
+                     : r.has_trace_stats ? " probes/s"
+                                         : " pkts/s";
   std::cout << r.name << "\n";
   if (!r.baseline_label.empty()) {
     std::cout << "  " << r.baseline_label << ": "
@@ -1927,6 +2044,12 @@ void print_report(const WorkloadReport& r) {
   if (r.has_span_stats) {
     std::cout << "  world:    " << r.span_ases << " ASes, " << r.span_pairs
               << " (source AS, destination AS) pairs per pass\n";
+  }
+  if (r.has_trace_stats) {
+    std::cout << "  trace:    " << r.trace_targets << " targets, "
+              << r.trace_probes << " probes per pass, pool "
+              << r.trace_pool_slots << " slots (ceiling "
+              << r.trace_pool_ceiling << ")\n";
   }
   if (r.has_fault_stats) {
     std::cout << "  faults:   coverage " << r.coverage * 100.0 << "% ("
@@ -2011,6 +2134,12 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
       out << ", \"unit\": \"spans_per_second\", \"ases\": " << r.span_ases
           << ", \"pairs\": " << r.span_pairs;
     }
+    if (r.has_trace_stats) {
+      out << ", \"unit\": \"probes_per_second\", \"targets\": "
+          << r.trace_targets << ", \"probes\": " << r.trace_probes
+          << ", \"event_pool_slots\": " << r.trace_pool_slots
+          << ", \"event_pool_ceiling\": " << r.trace_pool_ceiling;
+    }
     if (r.has_fault_stats) {
       out << ", \"coverage\": " << r.coverage
           << ", \"probes_retried\": " << r.probes_retried
@@ -2063,6 +2192,7 @@ int main(int argc, char** argv) {
   reps.push_back(bench_codec_workload(opts));
   reps.push_back(bench_batch_workload(opts));
   reps.push_back(bench_span_miss_workload());
+  reps.push_back(bench_dnsroute_trace_workload());
   reps.push_back(bench_million_host_workload(opts));
   reps.push_back(bench_fault_plane_workload(opts));
   for (const auto& r : reps) print_report(r);
@@ -2079,8 +2209,8 @@ int main(int argc, char** argv) {
   for (const auto& r : reps) {
     if (!r.count_gate_ok) {
       std::cerr << "FAIL: " << r.name
-                << " missed its pinned route-cache / scheduler counts "
-                   "or all-pairs route digest\n";
+                << " missed its pinned route-cache / scheduler counts, "
+                   "route or trace digest, or pool ceiling\n";
       return 2;
     }
     if (opts.min_speedup > 0.0 && !r.baseline_label.empty() &&

@@ -1,6 +1,7 @@
 #include "dnsroute/dnsroute.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace odns::dnsroute {
@@ -26,40 +27,57 @@ std::vector<util::Ipv4> TracePath::hop_addrs() const {
   return out;
 }
 
+namespace {
+
+DnsrouteConfig checked(DnsrouteConfig cfg) {
+  if (cfg.probes_per_second == 0) {
+    throw std::invalid_argument("DNSRoute++: probes_per_second must be > 0");
+  }
+  if (cfg.max_ttl < 1 || cfg.max_ttl > 255) {
+    throw std::invalid_argument("DNSRoute++: max_ttl must be in 1..255");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 DnsroutePlusPlus::DnsroutePlusPlus(netsim::Simulator& sim,
                                    netsim::HostId host, DnsrouteConfig cfg)
-    : sim_(&sim), host_(host), cfg_(std::move(cfg)) {
+    : sim_(&sim), host_(host), cfg_(checked(std::move(cfg))),
+      gap_(util::Duration::nanos(static_cast<std::int64_t>(
+          1e9 / static_cast<double>(cfg_.probes_per_second)))),
+      query_(dnswire::encode(
+          dnswire::make_query(0, cfg_.qname, dnswire::RrType::a))) {
   sim_->bind_udp_wildcard(host_, this);
   sim_->set_icmp_handler(host_,
                          [this](const netsim::Packet& pkt) { on_icmp(pkt); });
 }
 
-void DnsroutePlusPlus::send_probe(std::size_t target_idx, int ttl) {
-  const std::uint16_t port = next_port_;
-  if (next_port_ >= 65535) {
-    next_port_ = 1024;
-    ++next_txid_;
-    if (next_txid_ == 0) next_txid_ = 1;
-  } else {
-    ++next_port_;
-  }
-  const std::uint16_t txid = next_txid_;
-  probe_of_[key(port, txid)] = {static_cast<std::uint32_t>(target_idx), ttl};
-  probe_by_port_[port] = {static_cast<std::uint32_t>(target_idx), ttl};
-
+void DnsroutePlusPlus::send_probe(std::uint64_t probe) {
+  const std::uint64_t i = probe - run_first_;
+  const auto max_ttl = static_cast<std::uint64_t>(cfg_.max_ttl);
+  const auto txid =
+      static_cast<std::uint16_t>(1 + (probe + 1) / kPorts % kTxids);
   netsim::SendOptions opts;
-  opts.dst = paths_[target_idx].target;
-  opts.src_port = port;
+  opts.dst = paths_[i / max_ttl].target;
+  opts.src_port = static_cast<std::uint16_t>(kPortBase + probe % kPorts);
   opts.dst_port = 53;
-  opts.ttl = ttl;
-  opts.payload = dnswire::encode(
-      dnswire::make_query(txid, cfg_.qname, dnswire::RrType::a));
+  opts.ttl = static_cast<int>(i % max_ttl) + 1;
+  opts.payload = query_;
+  opts.payload[0] = static_cast<std::uint8_t>(txid >> 8);
+  opts.payload[1] = static_cast<std::uint8_t>(txid & 0xFF);
+  sent_ = probe + 1;
   last_send_at_ = sim_->now();
   sim_->send_udp(host_, std::move(opts));
 }
 
-void DnsroutePlusPlus::on_timer(std::uint64_t target_idx, std::uint64_t ttl) {
-  send_probe(static_cast<std::size_t>(target_idx), static_cast<int>(ttl));
+void DnsroutePlusPlus::on_timer(std::uint64_t, std::uint64_t) {
+  // Probe j of the run is due at j * gap_: with a zero gap every probe
+  // shares this instant, otherwise each has its own.
+  do {
+    send_probe(sent_);
+  } while (sent_ < run_end_ && gap_ == util::Duration::nanos(0));
+  if (sent_ < run_end_) sim_->schedule_timer(gap_, this, 0);
 }
 
 std::vector<TracePath> DnsroutePlusPlus::run(
@@ -70,17 +88,13 @@ std::vector<TracePath> DnsroutePlusPlus::run(
     paths_[i].target = targets[i];
     paths_[i].hops.assign(static_cast<std::size_t>(cfg_.max_ttl), Hop{});
   }
-  const auto gap = util::Duration::nanos(static_cast<std::int64_t>(
-      1e9 / static_cast<double>(cfg_.probes_per_second)));
-  util::Duration at = util::Duration::nanos(0);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    for (int ttl = 1; ttl <= cfg_.max_ttl; ++ttl) {
-      // Shard-affine pacing: scheduled from outside the event loop, so
-      // the timer must land on the shard owning the vantage host.
-      sim_->schedule_timer_on(host_, at, this, i,
-                              static_cast<std::uint64_t>(ttl));
-      at = at + gap;
-    }
+  run_first_ = sent_;
+  run_end_ = sent_ + targets.size() * static_cast<std::uint64_t>(cfg_.max_ttl);
+  // Shard-affine pacing: armed from outside the event loop, so the
+  // first timer must land on the shard owning the vantage host; each
+  // firing arms the next from that shard.
+  if (run_end_ > run_first_) {
+    sim_->schedule_timer_on(host_, util::Duration::nanos(0), this, 0);
   }
   sim_->run();
   sim_->run_until(last_send_at_ + cfg_.settle);
@@ -88,11 +102,25 @@ std::vector<TracePath> DnsroutePlusPlus::run(
   return std::move(paths_);
 }
 
+std::optional<std::pair<std::size_t, int>> DnsroutePlusPlus::probe_in_run(
+    std::uint64_t residue, std::uint64_t period) const {
+  if (sent_ == 0 || residue >= sent_) return std::nullopt;
+  const std::uint64_t last = sent_ - 1;
+  const std::uint64_t probe = last - (last - residue) % period;
+  if (probe < run_first_) return std::nullopt;
+  const std::uint64_t i = probe - run_first_;
+  const auto max_ttl = static_cast<std::uint64_t>(cfg_.max_ttl);
+  return std::pair{static_cast<std::size_t>(i / max_ttl),
+                   static_cast<int>(i % max_ttl) + 1};
+}
+
 void DnsroutePlusPlus::on_icmp(const netsim::Packet& pkt) {
   if (pkt.icmp_type != netsim::IcmpType::ttl_exceeded) return;
-  auto it = probe_by_port_.find(pkt.icmp_quote.orig_src_port);
-  if (it == probe_by_port_.end()) return;
-  const auto [target_idx, ttl] = it->second;
+  const std::uint16_t port = pkt.icmp_quote.orig_src_port;
+  if (port < kPortBase) return;
+  const auto match = probe_in_run(port - kPortBase, kPorts);
+  if (!match) return;
+  const auto [target_idx, ttl] = *match;
   auto& path = paths_[target_idx];
   auto& hop = path.hops[static_cast<std::size_t>(ttl - 1)];
   if (!hop.responded) {
@@ -106,13 +134,22 @@ void DnsroutePlusPlus::on_icmp(const netsim::Packet& pkt) {
 }
 
 void DnsroutePlusPlus::on_datagram(const netsim::Datagram& dgram) {
-  auto parsed = dnswire::decode(*dgram.payload);
+  arena_.reset();
+  auto parsed = dnswire::decode_into(arena_, *dgram.payload);
   if (!parsed) return;
   const auto& msg = parsed.value();
   if (!msg.header.qr) return;
-  auto it = probe_of_.find(key(dgram.dst_port, msg.header.id));
-  if (it == probe_of_.end()) return;
-  const auto [target_idx, ttl] = it->second;
+  if (dgram.dst_port < kPortBase || msg.header.id == 0) return;
+  // Invert the send tuple: port gives probe % kPorts, the TXID plane
+  // gives (probe + 1) / kPorts, both modulo the kPorts * kTxids cycle.
+  const std::uint64_t port_rank = dgram.dst_port - kPortBase;
+  const std::uint64_t plane = msg.header.id - 1u;
+  const std::uint64_t cycle = kPorts * kTxids;
+  const std::uint64_t residue =
+      (plane * kPorts + (port_rank + 1) % kPorts + cycle - 1) % cycle;
+  const auto match = probe_in_run(residue, cycle);
+  if (!match) return;
+  const auto [target_idx, ttl] = *match;
   auto& path = paths_[target_idx];
   if (msg.header.rcode != dnswire::Rcode::noerror || msg.answers.empty()) {
     return;

@@ -11,9 +11,10 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "netsim/sim.hpp"
 #include "registry/registry.hpp"
@@ -57,8 +58,23 @@ struct TracePath {
   [[nodiscard]] std::vector<util::Ipv4> hop_addrs() const;
 };
 
+/// Probe numbering. A tracer numbers its probes k = 0, 1, 2, ... in
+/// send order, and the count keeps running across run() calls. Within
+/// one run whose first probe is k0, probe k traces target
+/// (k - k0) / max_ttl at TTL (k - k0) % max_ttl + 1: targets in order,
+/// TTLs 1..max_ttl each. On the wire, probe k leaves from port
+/// 1024 + k % 64512 with TXID 1 + ((k + 1) / 64512) % 65535 — the
+/// ports walk 1024..65535, and the send that takes port 65535 already
+/// carries the next TXID plane (TXIDs 1..65535, 0 skipped). So:
+/// - a DNS answer's (port, TXID) names one probe number exactly (the
+///   latest sent with that tuple, once 64512 × 65535 probes wrap);
+/// - an ICMP Time-Exceeded quotes only the UDP ports, so it is matched
+///   to the latest probe sent from its port.
+/// Neither match keeps per-probe state.
 class DnsroutePlusPlus : public netsim::App, public netsim::TimerTarget {
  public:
+  /// Throws std::invalid_argument when cfg.probes_per_second is 0 or
+  /// cfg.max_ttl is outside 1..255.
   DnsroutePlusPlus(netsim::Simulator& sim, netsim::HostId host,
                    DnsrouteConfig cfg);
 
@@ -67,28 +83,35 @@ class DnsroutePlusPlus : public netsim::App, public netsim::TimerTarget {
   std::vector<TracePath> run(const std::vector<util::Ipv4>& targets);
 
   void on_datagram(const netsim::Datagram& dgram) override;
-  /// Probe-pacing timer: (target index, TTL) of the probe to emit.
-  void on_timer(std::uint64_t target_idx, std::uint64_t ttl) override;
+  /// Probe-pacing timer: sends the probes due now (the tracer's next
+  /// probe number onward), then arms the next send instant. One timer
+  /// is pending at a time; the words are unused.
+  void on_timer(std::uint64_t, std::uint64_t) override;
 
  private:
+  static constexpr std::uint64_t kPortBase = 1024;
+  static constexpr std::uint64_t kPorts = 65536 - kPortBase;
+  static constexpr std::uint64_t kTxids = 65535;
+
   void on_icmp(const netsim::Packet& pkt);
-  void send_probe(std::size_t target_idx, int ttl);
-  static std::uint32_t key(std::uint16_t port, std::uint16_t txid) {
-    return (std::uint32_t{port} << 16) | txid;
-  }
+  void send_probe(std::uint64_t probe);
+  /// Latest probe sent whose number is `residue` modulo `period`, as a
+  /// (target index, TTL) of the current run; nullopt when no such
+  /// probe was sent in this run.
+  [[nodiscard]] std::optional<std::pair<std::size_t, int>> probe_in_run(
+      std::uint64_t residue, std::uint64_t period) const;
 
   netsim::Simulator* sim_;
   netsim::HostId host_;
   DnsrouteConfig cfg_;
+  util::Duration gap_;
+  /// The A query for cfg_.qname, encoded once; bytes 0..1 are the TXID.
+  std::vector<std::uint8_t> query_;
+  dnswire::WireArena arena_;  // answer views, reset per datagram
   std::vector<TracePath> paths_;
-  /// (port, txid) → (target index, ttl): matches DNS answers.
-  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, int>> probe_of_;
-  /// port → (target index, ttl): matches ICMP errors, which quote only
-  /// the offending UDP header (ports), not the DNS payload.
-  std::unordered_map<std::uint16_t, std::pair<std::uint32_t, int>>
-      probe_by_port_;
-  std::uint16_t next_port_ = 1024;
-  std::uint16_t next_txid_ = 1;
+  std::uint64_t run_first_ = 0;  // probe number of this run's first probe
+  std::uint64_t run_end_ = 0;    // one past this run's last probe number
+  std::uint64_t sent_ = 0;       // probes sent so far = next probe number
   util::SimTime last_send_at_;
 };
 

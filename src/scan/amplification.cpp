@@ -72,29 +72,58 @@ void AmplificationCampaign::start(const std::vector<util::Ipv4>& reflectors) {
           static_cast<std::int64_t>(gap_ns * i));
       inj.at = t0 + delay;
       injections_.push_back(inj);
-      // Injections fire on the shard owning their attacker; start()
-      // runs outside the event loop, so the timers must be placed
-      // shard-affine (exactly the scanner's pacing pattern).
-      sim_->schedule_timer_on(inj.attacker, delay, this, i);
       ++i;
     }
   }
   last_send_at_ = injections_.back().at;
+  // Injections fire on the shard owning their attacker, one pending
+  // timer per attacker shard walking that shard's injections in index
+  // order. start() runs outside the event loop, so each first timer is
+  // placed shard-affine (exactly the scanner's pacing pattern).
+  attacker_shard_.clear();
+  for (const netsim::HostId host : attackers_) {
+    attacker_shard_.push_back(sim_->shard_of(host));
+  }
+  for (std::size_t a = 0; a < attackers_.size(); ++a) {
+    const bool first_on_shard =
+        std::find(attacker_shard_.begin(), attacker_shard_.begin() + a,
+                  attacker_shard_[a]) == attacker_shard_.begin() + a;
+    if (first_on_shard && a < injections_.size()) {
+      sim_->schedule_timer_on(attackers_[a], injections_[a].at - t0, this, a);
+    }
+  }
+}
+
+std::size_t AmplificationCampaign::next_on_shard(std::size_t i) const {
+  const std::size_t n = attackers_.size();
+  const std::uint32_t shard = attacker_shard_[i % n];
+  do {
+    ++i;
+  } while (i < injections_.size() && attacker_shard_[i % n] != shard);
+  return i;
 }
 
 void AmplificationCampaign::on_timer(std::uint64_t injection_index,
                                      std::uint64_t) {
-  // Sends only — injections_ is immutable after start(), so concurrent
-  // attacker shards share nothing mutable here.
-  const Injection& inj = injections_[injection_index];
-  netsim::SendOptions opts;
-  opts.dst = inj.reflector;
-  opts.src_port = inj.src_port;
-  opts.dst_port = 53;
-  opts.spoof_src = inj.victim;
-  opts.payload = dnswire::encode(
-      dnswire::make_query(inj.txid, cfg_.qname, cfg_.qtype));
-  sim_->send_udp(inj.attacker, std::move(opts));
+  // Sends only — injections_ and attacker_shard_ are immutable after
+  // start(), so concurrent attacker shards share nothing mutable here.
+  const util::SimTime at = injections_[injection_index].at;
+  std::size_t i = static_cast<std::size_t>(injection_index);
+  do {
+    const Injection& inj = injections_[i];
+    netsim::SendOptions opts;
+    opts.dst = inj.reflector;
+    opts.src_port = inj.src_port;
+    opts.dst_port = 53;
+    opts.spoof_src = inj.victim;
+    opts.payload = dnswire::encode(
+        dnswire::make_query(inj.txid, cfg_.qname, cfg_.qtype));
+    sim_->send_udp(inj.attacker, std::move(opts));
+    i = next_on_shard(i);
+  } while (i < injections_.size() && injections_[i].at == at);
+  if (i < injections_.size()) {
+    sim_->schedule_timer(injections_[i].at - at, this, i);
+  }
 }
 
 void AmplificationCampaign::run_to_completion() {

@@ -94,12 +94,16 @@ class AmplificationCampaign : public netsim::TimerTarget {
   /// Adds a spoof target and binds its meter (wildcard) on `host`.
   void add_victim(netsim::HostId host, util::Ipv4 addr);
 
-  /// Builds and schedules the paced injection plan: one spoofed query
-  /// per (victim, reflector) pair, attackers round-robin. Call
-  /// run_to_completion() (or drive the simulator manually) afterwards.
+  /// Builds the paced injection plan — one spoofed query per (victim,
+  /// reflector) pair, attackers round-robin — and arms the first
+  /// injection of every attacker shard. Call run_to_completion() (or
+  /// drive the simulator manually) afterwards.
   void start(const std::vector<util::Ipv4>& reflectors);
   void run_to_completion();
 
+  /// Pacing timer of one attacker shard: `injection_index` is that
+  /// shard's next injection. Sends the shard's injections due now, then
+  /// arms its next injection instant (one timer pending per shard).
   void on_timer(std::uint64_t injection_index, std::uint64_t) override;
 
   [[nodiscard]] const std::vector<Injection>& injections() const {
@@ -118,7 +122,12 @@ class AmplificationCampaign : public netsim::TimerTarget {
 
   netsim::Simulator* sim_;
   AmplificationConfig cfg_;
+  /// The shard's next injection after `i` (injections_.size() if none).
+  [[nodiscard]] std::size_t next_on_shard(std::size_t i) const;
+
   std::vector<netsim::HostId> attackers_;
+  /// Shard owning each attacker, fixed at start().
+  std::vector<std::uint32_t> attacker_shard_;
   std::vector<VictimSlot> victims_;
   std::vector<Injection> injections_;
   util::SimTime last_send_at_;

@@ -19,21 +19,26 @@ StatelessCampaign::StatelessCampaign(netsim::Simulator& sim,
 }
 
 void StatelessCampaign::run(const std::vector<util::Ipv4>& targets) {
-  const auto gap = util::Duration::nanos(static_cast<std::int64_t>(
+  targets_ = targets;
+  gap_ = util::Duration::nanos(static_cast<std::int64_t>(
       1e9 / static_cast<double>(cfg_.probes_per_second)));
-  util::Duration at = util::Duration::nanos(0);
-  for (auto target : targets) {
-    // Shard-affine pacing (run() is called from outside the event loop).
-    sim_->schedule_timer_on(host_, at, this, target.value());
-    at = at + gap;
+  // Shard-affine pacing (run() is called from outside the event loop);
+  // each firing arms the next send instant from the host's shard.
+  if (!targets_.empty()) {
+    sim_->schedule_timer_on(host_, util::Duration::nanos(0), this, 0);
   }
   sim_->run();
   sim_->run_until(last_send_at_ + cfg_.settle);
   sim_->run();
 }
 
-void StatelessCampaign::on_timer(std::uint64_t target_bits, std::uint64_t) {
-  send_probe(util::Ipv4{static_cast<std::uint32_t>(target_bits)});
+void StatelessCampaign::on_timer(std::uint64_t index, std::uint64_t) {
+  // Target i is due at i * gap_: a zero gap sends them all now.
+  std::size_t i = static_cast<std::size_t>(index);
+  do {
+    send_probe(targets_[i++]);
+  } while (i < targets_.size() && gap_ == util::Duration::nanos(0));
+  if (i < targets_.size()) sim_->schedule_timer(gap_, this, i);
 }
 
 void StatelessCampaign::send_probe(util::Ipv4 target) {

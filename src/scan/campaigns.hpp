@@ -63,8 +63,10 @@ class StatelessCampaign : public netsim::App, public netsim::TimerTarget {
   }
 
   void on_datagram(const netsim::Datagram& dgram) override;
-  /// Probe-pacing timer: `target_bits` is the probe target's address.
-  void on_timer(std::uint64_t target_bits, std::uint64_t) override;
+  /// Probe-pacing timer: `index` is the next target's position in the
+  /// run's target list. Sends every probe due now, then arms the next
+  /// send instant (one timer pending at a time).
+  void on_timer(std::uint64_t index, std::uint64_t) override;
 
  private:
   void send_probe(util::Ipv4 target);
@@ -72,6 +74,8 @@ class StatelessCampaign : public netsim::App, public netsim::TimerTarget {
   netsim::Simulator* sim_;
   netsim::HostId host_;
   CampaignConfig cfg_;
+  std::vector<util::Ipv4> targets_;  // the current run's, in send order
+  util::Duration gap_ = util::Duration::nanos(0);
   /// Ephemeral source port → probed target. Censys/Shodan-style
   /// sanitization compares a response's source with the target probed
   /// from that socket.

@@ -1,5 +1,8 @@
 #include "scan/plan.hpp"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace odns::scan {
 
 std::vector<util::Ipv4> interleave_by_virtual_shard(
@@ -23,9 +26,22 @@ std::vector<util::Ipv4> interleave_by_virtual_shard(
   return ordered;
 }
 
+void PlanPacer::assign(const VantagePlan& plan,
+                       std::vector<std::uint32_t> indices) {
+  std::stable_sort(indices.begin(), indices.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return plan.probes()[a].at < plan.probes()[b].at;
+                   });
+  order_ = std::move(indices);
+  next_ = 0;
+}
+
 VantagePlan VantagePlan::build(const netsim::Simulator& sim,
                                const ScanConfig& cfg,
                                const std::vector<util::Ipv4>& targets) {
+  if (cfg.probes_per_second == 0) {
+    throw std::invalid_argument("VantagePlan: probes_per_second must be > 0");
+  }
   VantagePlan plan;
   plan.gap_ = util::Duration::nanos(static_cast<std::int64_t>(
       1e9 / static_cast<double>(cfg.probes_per_second)));

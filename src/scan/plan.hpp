@@ -8,6 +8,7 @@
 // one host or a per-shard fleet performs the measurement.
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -74,7 +75,8 @@ class VantagePlan {
   /// (classic or interleaved), tuple assignment in pacing order, paced
   /// send offsets, and — with cfg.max_retries > 0 — the appended
   /// retransmission entries (originals first, so plan index == probe-
-  /// table index for every attempt-0 entry).
+  /// table index for every attempt-0 entry). Throws
+  /// std::invalid_argument when cfg.probes_per_second is 0.
   [[nodiscard]] static VantagePlan build(const netsim::Simulator& sim,
                                          const ScanConfig& cfg,
                                          const std::vector<util::Ipv4>& targets);
@@ -97,6 +99,43 @@ class VantagePlan {
   util::Duration span_ = util::Duration::nanos(0);
   util::Duration last_at_ = util::Duration::nanos(0);
   std::size_t originals_ = 0;
+};
+
+/// Lazy pacing of one sender's slice of a plan. The plan is computed
+/// up front, but its sends are paced one timer at a time: the sender
+/// keeps a single pending timer, and each firing sends every probe due
+/// at that instant and arms the next instant. So the event queue holds
+/// one timer per sender, not one per planned probe.
+class PlanPacer {
+ public:
+  /// Takes the sender's plan indices (in plan order) and stable-sorts
+  /// them by send offset, so probes due at one instant go out in plan
+  /// order.
+  void assign(const VantagePlan& plan, std::vector<std::uint32_t> indices);
+
+  /// True while some assigned probe is unsent.
+  [[nodiscard]] bool pacing() const { return next_ < order_.size(); }
+  /// Offset of the next unsent probe. Pre: pacing().
+  [[nodiscard]] util::Duration next_at(const VantagePlan& plan) const {
+    return plan.probes()[order_[next_]].at;
+  }
+
+  /// Calls send(plan index) for every probe due at the next offset, in
+  /// order, and returns the delay to the offset after it (nullopt once
+  /// the slice is done). Pre: pacing().
+  template <typename Send>
+  std::optional<util::Duration> fire(const VantagePlan& plan, Send&& send) {
+    const util::Duration at = next_at(plan);
+    do {
+      send(order_[next_++]);
+    } while (pacing() && next_at(plan) == at);
+    if (!pacing()) return std::nullopt;
+    return next_at(plan) - at;
+  }
+
+ private:
+  std::vector<std::uint32_t> order_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace odns::scan

@@ -1,5 +1,8 @@
 #include "scan/txscanner.hpp"
 
+#include <numeric>
+#include <stdexcept>
+
 #include "dnswire/codec.hpp"
 #include "scan/correlate.hpp"
 
@@ -35,28 +38,38 @@ void TransactionalScanner::send_planned(const PlannedProbe& probe) {
 }
 
 void TransactionalScanner::start(const std::vector<util::Ipv4>& targets) {
+  if (pacer_.pacing()) {
+    throw std::logic_error(
+        "TransactionalScanner::start: the previous plan is still pacing");
+  }
   plan_ = VantagePlan::build(*sim_, cfg_, targets);
   const util::SimTime t0 = sim_->now();
   probes_.reserve(probes_.size() + plan_.original_count());
-  for (std::size_t i = 0; i < plan_.probes().size(); ++i) {
-    const PlannedProbe& p = plan_.probes()[i];
+  for (const PlannedProbe& p : plan_.probes()) {
     // The probe table is materialized from the attempt-0 plan prefix:
-    // timers fire at exactly their scheduled instants, so the planned
+    // sends happen at exactly their planned instants, so the planned
     // send time is the sent_at the classic scanner would have
     // recorded. Retransmission entries share their original's tuple
     // and are represented by it — they schedule sends, never rows.
     if (p.attempt == 0) {
       probes_.push_back(SentProbe{p.target, p.src_port, p.txid, t0 + p.at});
     }
-    // Shard-affine pacing: start() runs outside the event loop, so the
-    // timers must land on the shard owning the scanner host.
-    sim_->schedule_timer_on(host_, p.at, this, i);
+  }
+  std::vector<std::uint32_t> indices(plan_.probes().size());
+  std::iota(indices.begin(), indices.end(), 0u);
+  pacer_.assign(plan_, std::move(indices));
+  // Shard-affine pacing: start() runs outside the event loop, so the
+  // first timer must land on the shard owning the scanner host.
+  if (pacer_.pacing()) {
+    sim_->schedule_timer_on(host_, pacer_.next_at(plan_), this, 0);
   }
   last_send_at_ = t0 + plan_.span();
 }
 
-void TransactionalScanner::on_timer(std::uint64_t probe_index, std::uint64_t) {
-  send_planned(plan_.probes()[probe_index]);
+void TransactionalScanner::on_timer(std::uint64_t, std::uint64_t) {
+  const auto delay = pacer_.fire(
+      plan_, [&](std::uint32_t i) { send_planned(plan_.probes()[i]); });
+  if (delay) sim_->schedule_timer(*delay, this, 0);
 }
 
 void TransactionalScanner::run_to_completion() {

@@ -26,8 +26,10 @@ class TransactionalScanner : public netsim::App, public netsim::TimerTarget {
   TransactionalScanner(netsim::Simulator& sim, netsim::HostId host,
                        ScanConfig cfg);
 
-  /// Schedules paced probes to every target. Call sim().run() (or
-  /// run_to_completion) afterwards.
+  /// Plans probes to every target and arms the first send; each send
+  /// instant arms the next. Call sim().run() (or run_to_completion)
+  /// afterwards. Throws std::logic_error while a previous plan is
+  /// still pacing.
   void start(const std::vector<util::Ipv4>& targets);
 
   /// Runs the simulator until every probe is sent and the timeout
@@ -48,8 +50,9 @@ class TransactionalScanner : public netsim::App, public netsim::TimerTarget {
   [[nodiscard]] util::SimTime last_send_at() const { return last_send_at_; }
 
   void on_datagram(const netsim::Datagram& dgram) override;
-  /// Probe-pacing timer: `probe_index` is the plan index to send.
-  void on_timer(std::uint64_t probe_index, std::uint64_t) override;
+  /// Probe-pacing timer: sends the probes due now and arms the next
+  /// send instant (one timer pending at a time; the words are unused).
+  void on_timer(std::uint64_t, std::uint64_t) override;
 
  private:
   void send_planned(const PlannedProbe& probe);
@@ -58,6 +61,7 @@ class TransactionalScanner : public netsim::App, public netsim::TimerTarget {
   netsim::HostId host_;
   ScanConfig cfg_;
   VantagePlan plan_;
+  PlanPacer pacer_;
   std::vector<SentProbe> probes_;
   std::vector<RawResponse> capture_;
   ScannerStats stats_;

@@ -1,6 +1,7 @@
 #include "scan/vantage.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "dnswire/codec.hpp"
@@ -24,8 +25,35 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
     });
   }
 
-  void on_timer(std::uint64_t probe_index, std::uint64_t) override {
-    const PlannedProbe& probe = owner_->plan_.probes()[probe_index];
+  /// Pacing: sends this member's probes due now and arms its next send
+  /// instant (one timer pending per member; the words are unused).
+  void on_timer(std::uint64_t, std::uint64_t) override {
+    const VantagePlan& plan = owner_->plan_;
+    const auto delay = pacer_.fire(
+        plan, [&](std::uint32_t i) { send(plan.probes()[i]); });
+    if (delay) owner_->sim_->schedule_timer(*delay, this, 0);
+  }
+
+  void on_datagram(const netsim::Datagram& dgram) override {
+    record_response(dgram, owner_->sim_->now(), index_, capture_, stats_);
+  }
+
+  /// This member's slice of the plan (only touched by its own shard
+  /// once the run starts).
+  [[nodiscard]] PlanPacer& pacer() { return pacer_; }
+  [[nodiscard]] netsim::HostId host() const { return host_; }
+  [[nodiscard]] const std::vector<RawResponse>& capture() const {
+    return capture_;
+  }
+  /// Streaming flush access: the window merge consumes a time-ordered
+  /// prefix and compacts it between simulator windows.
+  [[nodiscard]] std::vector<RawResponse>& mutable_capture() {
+    return capture_;
+  }
+  [[nodiscard]] const ScannerStats& stats() const { return stats_; }
+
+ private:
+  void send(const PlannedProbe& probe) {
     auto& sim = *owner_->sim_;
     if (probe.attempt == 0) {
       ++stats_.probes_sent;
@@ -50,25 +78,10 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
     sim.send_udp(host_, std::move(opts));
   }
 
-  void on_datagram(const netsim::Datagram& dgram) override {
-    record_response(dgram, owner_->sim_->now(), index_, capture_, stats_);
-  }
-
-  [[nodiscard]] netsim::HostId host() const { return host_; }
-  [[nodiscard]] const std::vector<RawResponse>& capture() const {
-    return capture_;
-  }
-  /// Streaming flush access: the window merge consumes a time-ordered
-  /// prefix and compacts it between simulator windows.
-  [[nodiscard]] std::vector<RawResponse>& mutable_capture() {
-    return capture_;
-  }
-  [[nodiscard]] const ScannerStats& stats() const { return stats_; }
-
- private:
   VantageSet* owner_;
   netsim::HostId host_;
   std::uint32_t index_;
+  PlanPacer pacer_;
   std::vector<RawResponse> capture_;
   ScannerStats stats_;
 };
@@ -89,6 +102,12 @@ VantageSet::VantageSet(netsim::Simulator& sim, ScanConfig cfg,
 VantageSet::~VantageSet() { sim_->clear_vantage_capture(); }
 
 void VantageSet::start(const std::vector<util::Ipv4>& targets) {
+  for (const auto& m : members_) {
+    if (m->pacer().pacing()) {
+      throw std::logic_error(
+          "VantageSet::start: the previous plan is still pacing");
+    }
+  }
   plan_ = VantagePlan::build(*sim_, cfg_, targets);
   const util::SimTime t0 = sim_->now();
   std::unordered_map<netsim::HostId, std::uint32_t> member_of_host;
@@ -98,6 +117,7 @@ void VantageSet::start(const std::vector<util::Ipv4>& targets) {
   const auto& net = sim_->net();
   probes_.reserve(probes_.size() + plan_.original_count());
   sender_.reserve(sender_.size() + plan_.original_count());
+  std::vector<std::vector<std::uint32_t>> slices(members_.size());
   for (std::size_t i = 0; i < plan_.probes().size(); ++i) {
     const PlannedProbe& p = plan_.probes()[i];
     // Retransmission entries (attempt > 0) reuse their original's
@@ -114,12 +134,21 @@ void VantageSet::start(const std::vector<util::Ipv4>& targets) {
     const netsim::HostId owner_host = net.unicast_owner(p.target);
     const std::uint32_t shard =
         owner_host == netsim::kInvalidHost ? 0 : sim_->shard_of(owner_host);
-    const netsim::HostId member_host = sim_->vantage_member_for_shard(shard);
-    const std::uint32_t member = member_of_host.at(member_host);
+    const std::uint32_t member =
+        member_of_host.at(sim_->vantage_member_for_shard(shard));
     if (p.attempt == 0) sender_.push_back(member);
-    sim_->schedule_timer_on(member_host, p.at, members_[member].get(), i);
+    slices[member].push_back(static_cast<std::uint32_t>(i));
   }
-  // Timers fire at exactly their planned instants, so the last send
+  for (std::size_t j = 0; j < members_.size(); ++j) {
+    CaptureVantage& m = *members_[j];
+    m.pacer().assign(plan_, std::move(slices[j]));
+    // start() runs outside the event loop: each member's first timer
+    // must land on the member's own shard.
+    if (m.pacer().pacing()) {
+      sim_->schedule_timer_on(m.host(), m.pacer().next_at(plan_), &m, 0);
+    }
+  }
+  // Sends happen at exactly their planned instants, so the last send
   // lands at the last plan offset (start time for an empty plan) — the
   // value the classic scanner records after its sends complete.
   last_send_at_ = plan_.probes().empty() ? t0 : t0 + plan_.last_at();

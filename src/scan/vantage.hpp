@@ -49,9 +49,11 @@ class VantageSet {
   VantageSet(const VantageSet&) = delete;
   VantageSet& operator=(const VantageSet&) = delete;
 
-  /// Builds the global plan and schedules every probe on the vantage
-  /// member owning the probed target's shard. Call between runs (all
-  /// shard clocks synchronized), then run_to_completion().
+  /// Builds the global plan and hands every probe to the vantage
+  /// member owning the probed target's shard; each member paces its
+  /// slice with one pending timer on its own shard. Call between runs
+  /// (all shard clocks synchronized), then run_to_completion(). Throws
+  /// std::logic_error while a previous plan is still pacing.
   void start(const std::vector<util::Ipv4>& targets);
 
   /// Runs the simulator until every probe is sent and the timeout

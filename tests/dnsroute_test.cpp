@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dnsroute/dnsroute.hpp"
 #include "nodes/forwarder.hpp"
 #include "testutil.hpp"
@@ -66,6 +68,36 @@ TEST_F(DnsrouteFixture, SeesThroughTheForwarder) {
   EXPECT_EQ(path.answer_ttl, 10);
   EXPECT_EQ(path.forwarder_to_resolver_hops(), 5);
   EXPECT_TRUE(path.complete());
+}
+
+TEST_F(DnsrouteFixture, RepeatedRunsMatchTheFirst) {
+  // Probe numbers keep counting across runs, so the second run's
+  // probes leave on fresh ports; matching must stay within the run.
+  DnsroutePlusPlus tracer(world.sim, world.scanner_host, config());
+  const auto first = tracer.run({tf_addr, test::kResolverAddr});
+  const auto second = tracer.run({tf_addr});
+  ASSERT_EQ(first.size(), 2u);
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].target_distance, first[0].target_distance);
+  EXPECT_EQ(second[0].answer_ttl, first[0].answer_ttl);
+  EXPECT_EQ(second[0].resolver, first[0].resolver);
+  EXPECT_EQ(second[0].hop_addrs(), first[0].hop_addrs());
+  EXPECT_TRUE(second[0].complete());
+}
+
+TEST_F(DnsrouteFixture, ZeroProbeRateThrows) {
+  DnsrouteConfig cfg = config();
+  cfg.probes_per_second = 0;
+  EXPECT_THROW(DnsroutePlusPlus(world.sim, world.scanner_host, cfg),
+               std::invalid_argument);
+}
+
+TEST_F(DnsrouteFixture, MaxTtlOutsideOneTo255Throws) {
+  EXPECT_THROW(DnsroutePlusPlus(world.sim, world.scanner_host, config(0)),
+               std::invalid_argument);
+  EXPECT_THROW(DnsroutePlusPlus(world.sim, world.scanner_host, config(256)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(DnsroutePlusPlus(world.sim, world.scanner_host, config(255)));
 }
 
 TEST_F(DnsrouteFixture, HopsBeforeTargetBelongToTransitAses) {

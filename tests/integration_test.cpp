@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <unordered_map>
 
 #include "core/census.hpp"
 #include "core/report.hpp"
+#include "testutil.hpp"
 #include "util/stats.hpp"
 
 namespace odns::core {
@@ -22,15 +24,35 @@ Klass expected_klass(OdnsKind kind) {
   return Klass::unresponsive;
 }
 
+CensusConfig full_census_config(std::uint32_t shards = 0) {
+  CensusConfig cfg;
+  cfg.topology.scale = 0.005;
+  cfg.topology.seed = 1234;
+  cfg.sim_shards = shards;
+  return cfg;
+}
+
+/// Every TracePath field, hop by hop, one path per line.
+std::string render_paths(const std::vector<dnsroute::TracePath>& paths) {
+  std::ostringstream out;
+  for (const auto& p : paths) {
+    out << p.target.to_string() << ' ' << p.target_distance << ' '
+        << p.got_answer << ' ' << p.resolver.to_string() << ' '
+        << p.answer_ttl;
+    for (const auto& hop : p.hops) {
+      out << ' ' << hop.responded << ':' << hop.addr.to_string();
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
 /// One full census at small scale, shared by all integration tests
 /// (building + scanning once keeps the suite fast).
 class FullCensus : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    CensusConfig cfg;
-    cfg.topology.scale = 0.005;
-    cfg.topology.seed = 1234;
-    result_ = new CensusResult(run_census(cfg));
+    result_ = new CensusResult(run_census(full_census_config()));
   }
   static void TearDownTestSuite() {
     delete result_;
@@ -185,6 +207,21 @@ TEST_F(FullCensus, DnsrouteProducesSanePathsAtScale) {
   // provider-customer edges are unknown to the CAIDA-like registry.
   EXPECT_GT(routes.relationships.as_in_equals_as_out, 0u);
   EXPECT_GT(routes.relationships.unknown_to_caida, 0u);
+}
+
+// DNSRoute++ over every TF of a fresh census at 1, 2 and 4 shards:
+// 2,994 targets x 25 TTLs = 74,850 probes, past the 64,512-port wrap,
+// so answers and ICMP quotes on reused ports are matched too. The
+// digest was recorded while the tracer still kept per-probe match maps.
+TEST_F(FullCensus, DnsroutePathsMatchPinnedDigestAcrossShards) {
+  constexpr std::uint64_t kGolden = 0x80ee26804e0e4075ull;
+  for (const std::uint32_t shards : {1u, 2u, 4u}) {
+    CensusResult census = run_census(full_census_config(shards));
+    const auto routes = run_dnsroute(census, /*max_ttl=*/25);
+    EXPECT_EQ(routes.paths.size(), 2994u) << "shards=" << shards;
+    EXPECT_EQ(test::text_digest(render_paths(routes.paths)), kGolden)
+        << "shards=" << shards;
+  }
 }
 
 TEST_F(FullCensus, ReportsRenderNonEmpty) {

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "honeypot/lab.hpp"
 #include "nodes/forwarder.hpp"
 #include "scan/campaigns.hpp"
 #include "scan/txscanner.hpp"
+#include "scan/vantage.hpp"
 #include "testutil.hpp"
 
 namespace odns::scan {
@@ -95,6 +99,86 @@ TEST_F(ScanFixture, TupleUniquenessAcrossPortWrap) {
     tuples.insert((std::uint32_t{p.src_port} << 16) | p.txid);
   }
   EXPECT_EQ(tuples.size(), scanner.probes().size());
+}
+
+// A scan keeps one pacing timer per sender, so the event pool is sized
+// by in-flight work — probes and answers on the wire, resolver
+// timers — not by the plan. 20,000 targets with one retry each is a
+// 40,000-send plan; pacing timers armed up front would need a pool
+// slot per send (40,401 slots, measured with them). Lazy pacing needs
+// about 400 here — roughly the probes and answers of one round trip at
+// 20k probes/s — so the bound leaves 5x headroom.
+constexpr std::size_t kFootprintTargets = 20000;
+constexpr std::size_t kFootprintSlotBound = 2000;
+
+ScanConfig footprint_config(const MiniWorld& world) {
+  ScanConfig cfg;
+  cfg.qname = world.scan_name;
+  cfg.max_retries = 1;
+  return cfg;
+}
+
+TEST_F(ScanFixture, PacingFootprintBoundedByInFlightWork) {
+  TransactionalScanner scanner(world.sim, world.scanner_host,
+                               footprint_config(world));
+  scanner.start(std::vector<Ipv4>(kFootprintTargets, test::kResolverAddr));
+  scanner.run_to_completion();
+  EXPECT_EQ(scanner.stats().probes_sent, kFootprintTargets);
+  EXPECT_EQ(scanner.stats().probes_retried, kFootprintTargets);
+  EXPECT_EQ(scanner.stats().responses_received, 2 * kFootprintTargets);
+  EXPECT_LT(world.sim.event_pool_slots(), kFootprintSlotBound)
+      << "pool slots " << world.sim.event_pool_slots();
+}
+
+TEST(ScanPacing, VantageSetFootprintBoundedByInFlightWork) {
+  netsim::SimConfig sim_cfg;
+  sim_cfg.shards = 2;
+  sim_cfg.shard_threads = false;
+  MiniWorld world(sim_cfg);
+  VantageSet set(world.sim, footprint_config(world), test::kScannerAddr,
+                 honeypot::attach_capture_vantages(world.sim.net(),
+                                                   test::kScannerAsn, 2));
+  set.start(std::vector<Ipv4>(kFootprintTargets, test::kResolverAddr));
+  set.run_to_completion();
+  EXPECT_EQ(set.stats().probes_sent, kFootprintTargets);
+  EXPECT_EQ(set.stats().probes_retried, kFootprintTargets);
+  EXPECT_EQ(set.stats().responses_received, 2 * kFootprintTargets);
+  EXPECT_LT(world.sim.event_pool_slots(), kFootprintSlotBound)
+      << "pool slots " << world.sim.event_pool_slots();
+}
+
+TEST_F(ScanFixture, StartWhilePacingThrows) {
+  TransactionalScanner scanner(world.sim, world.scanner_host, scan_config());
+  scanner.start({test::kResolverAddr, test::kRootAddr});
+  // The first plan's sends are still pending: a second plan would
+  // replace the one they index into.
+  EXPECT_THROW(scanner.start({test::kResolverAddr}), std::logic_error);
+  scanner.run_to_completion();
+  EXPECT_NO_THROW(scanner.start({test::kResolverAddr}));
+  scanner.run_to_completion();
+  EXPECT_EQ(scanner.stats().probes_sent, 3u);
+}
+
+TEST(ScanPacing, VantageSetStartWhilePacingThrows) {
+  MiniWorld world;
+  ScanConfig cfg;
+  cfg.qname = world.scan_name;
+  VantageSet set(world.sim, cfg, test::kScannerAddr,
+                 honeypot::attach_capture_vantages(world.sim.net(),
+                                                   test::kScannerAsn, 1));
+  set.start({test::kResolverAddr, test::kRootAddr});
+  EXPECT_THROW(set.start({test::kResolverAddr}), std::logic_error);
+  set.run_to_completion();
+  EXPECT_NO_THROW(set.start({test::kResolverAddr}));
+  set.run_to_completion();
+  EXPECT_EQ(set.stats().probes_sent, 3u);
+}
+
+TEST_F(ScanFixture, ZeroProbeRatePlanThrows) {
+  ScanConfig cfg = scan_config();
+  cfg.probes_per_second = 0;
+  EXPECT_THROW((void)VantagePlan::build(world.sim, cfg, {test::kResolverAddr}),
+               std::invalid_argument);
 }
 
 TEST_F(ScanFixture, LateResponsesCountedNotMatched) {
