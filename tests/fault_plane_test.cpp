@@ -626,6 +626,15 @@ TEST(RetryCorrelation, StreamingMatchesBufferedOnRetryWindows) {
   }
   corr.finish(sink);
 
+  // Pinned from the buffered join while it was still a separate hash
+  // join: probe 0 answered at 800 ms (one duplicate, one late copy),
+  // probe 1 by its retry at 2.95 s, probe 2's answer past the window.
+  constexpr std::uint64_t kPinnedTransactions = 0xde15249506490129ull;
+  EXPECT_EQ(test::text_digest(render_transactions(buffered)),
+            kPinnedTransactions);
+  EXPECT_EQ(buffered_stats.responses_duplicate, 1u);
+  EXPECT_EQ(buffered_stats.responses_late, 2u);
+  EXPECT_EQ(buffered_stats.responses_unmatched, 0u);
   EXPECT_EQ(render_transactions(streamed), render_transactions(buffered));
   EXPECT_EQ(streamed_stats.responses_duplicate,
             buffered_stats.responses_duplicate);
