@@ -167,14 +167,18 @@ void BM_DecodeCompressedNames(benchmark::State& state) {
 BENCHMARK(BM_DecodeCompressedNames)->Arg(4)->Arg(16)->Arg(64);
 
 void BM_EventQueueThroughput(benchmark::State& state) {
+  struct Counter : netsim::TimerTarget {
+    std::uint64_t fired = 0;
+    void on_timer(std::uint64_t, std::uint64_t) override { ++fired; }
+  };
   for (auto _ : state) {
     netsim::EventQueue q;
-    int sink = 0;
+    Counter sink;
     for (int i = 0; i < state.range(0); ++i) {
-      q.schedule_at(util::SimTime::from_nanos(i % 1000), [&sink] { ++sink; });
+      q.schedule_timer(util::SimTime::from_nanos(i % 1000), &sink, 0, 0);
     }
     q.run();
-    benchmark::DoNotOptimize(sink);
+    benchmark::DoNotOptimize(sink.fired);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

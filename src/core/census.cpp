@@ -38,24 +38,18 @@ CensusResult run_census(const CensusConfig& cfg) {
   auto& sim = result.world->sim();
 
   const std::vector<util::Ipv4> targets = result.world->scan_targets();
-  if (cfg.weighted_partition && sim.shard_count() > 1) {
+  if (sim.shard_count() > 1) {
     // Balance the AS partition by expected event load: the dominant
     // per-shard cost of a census is serving + capturing its probe
-    // targets. With serving-cost weights a forwarder target counts
-    // double — it relays the probe upstream, so its virtual shard
-    // executes the relay leg on top of the delivery leg — which is
-    // what actually evens out forwarder-heavy shards.
+    // targets, and a forwarder target counts double — it relays the
+    // probe upstream, so its virtual shard executes the relay leg on
+    // top of the delivery leg. Execution-only: results are
+    // byte-identical under any partition.
     std::vector<std::uint64_t> weights(netsim::Simulator::kVirtualShards, 0);
-    if (cfg.serving_cost_weights) {
-      for (const auto& gt : result.world->ground_truth()) {
-        const std::uint64_t cost =
-            gt.kind == topo::OdnsKind::recursive_resolver ? 1 : 2;
-        weights[sim.virtual_shard_of(gt.addr)] += cost;
-      }
-    } else {
-      for (const auto target : targets) {
-        ++weights[sim.virtual_shard_of(target)];
-      }
+    for (const auto& gt : result.world->ground_truth()) {
+      const std::uint64_t cost =
+          gt.kind == topo::OdnsKind::recursive_resolver ? 1 : 2;
+      weights[sim.virtual_shard_of(gt.addr)] += cost;
     }
     sim.set_partition_load_hints(std::move(weights));
   }

@@ -33,7 +33,9 @@ struct CensusConfig {
   /// Event-engine shards for the simulated world (> 0 overrides
   /// topology.sim.shards; 0 keeps it). N > 1 runs the census on N
   /// worker threads with byte-identical results — see "Sharded
-  /// execution" in docs/architecture.md.
+  /// execution" in docs/architecture.md. Sharded runs balance the AS
+  /// partition by the probe targets' serving cost (a forwarder target
+  /// counts double: it relays the probe upstream).
   std::uint32_t sim_shards = 0;
   /// Interleave the probe targets round-robin over the partition so
   /// every shard stays busy in every pacing window (see
@@ -49,20 +51,6 @@ struct CensusConfig {
   /// stops being the response funnel. See "Multi-vantage census" in
   /// docs/architecture.md.
   std::uint32_t vantages = 0;
-  /// Weighted virtual-shard partition: derive per-virtual-shard load
-  /// hints from the probe-target counts and balance the AS partition
-  /// by expected event load instead of round-robin (see
-  /// netsim::Simulator::set_partition_load_hints). Execution-only; on
-  /// by default for sharded runs.
-  bool weighted_partition = true;
-  /// Weight each probe target by its serving cost instead of counting
-  /// every target once: a forwarder relays the probe upstream (and a
-  /// transparent forwarder additionally triggers the off-path public
-  /// response), so forwarder-heavy virtual shards execute roughly twice
-  /// the events per target of resolver-only ones. Execution-only —
-  /// results are byte-identical either way; the lever only moves the
-  /// LPT placement (see the partition section of the scale test).
-  bool serving_cost_weights = true;
   /// Streaming (windowed) correlation: requires vantages > 0. Instead
   /// of buffering the whole capture and correlating once, the census
   /// runs the simulator in correlate_flush windows, finalizes each

@@ -67,7 +67,7 @@ EventQueue::PacketEvent& EventQueue::acquire_packet(util::SimTime at,
   return packet_pool_[slot];
 }
 
-EventQueue::MiscEvent& EventQueue::acquire_misc(util::SimTime at, Kind kind) {
+EventQueue::MiscEvent& EventQueue::acquire_misc(util::SimTime at) {
   at = clamp(at);
   std::uint32_t slot;
   if (misc_free_head_ != kNilIndex) {
@@ -78,7 +78,8 @@ EventQueue::MiscEvent& EventQueue::acquire_misc(util::SimTime at, Kind kind) {
     slot = static_cast<std::uint32_t>(misc_pool_.size());
     misc_pool_.emplace_back();
   }
-  buckets_[bucket_for(at.nanos())].items.push_back(pack_item(kind, slot));
+  buckets_[bucket_for(at.nanos())].items.push_back(
+      pack_item(Kind::timer, slot));
   ++next_seq_;
   ++pending_;
   return misc_pool_[slot];
@@ -120,15 +121,10 @@ void EventQueue::schedule_icmp(util::SimTime at, IcmpType type,
 void EventQueue::schedule_timer(util::SimTime at, TimerTarget* target,
                                 std::uint64_t a, std::uint64_t b) {
   assert(target != nullptr);
-  MiscEvent& ev = acquire_misc(at, Kind::timer);
+  MiscEvent& ev = acquire_misc(at);
   ev.timer = target;
   ev.arg_a = a;
   ev.arg_b = b;
-}
-
-void EventQueue::schedule_at(util::SimTime at, Action action) {
-  MiscEvent& ev = acquire_misc(at, Kind::closure);
-  ev.closure = std::move(action);
 }
 
 // --- execution -------------------------------------------------------
@@ -165,14 +161,6 @@ void EventQueue::dispatch(std::uint32_t item) {
       const auto b = ev.arg_b;
       release_misc(slot);
       target->on_timer(a, b);
-      return;
-    }
-    case Kind::closure: {
-      MiscEvent& ev = misc_pool_[slot];
-      Action action = std::move(ev.closure);
-      ev.closure = nullptr;  // drop captures before the slot is reused
-      release_misc(slot);
-      action();
       return;
     }
   }

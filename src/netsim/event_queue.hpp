@@ -1,7 +1,7 @@
 #pragma once
 // Discrete-event core: an allocation-free typed event engine. Events
 // live in kind-segregated slabs with freelist recycling (packet events
-// never touch closure storage) and are ordered by a
+// and timers keep separate slots) and are ordered by a
 // bucketed calendar-style queue: a binary min-heap over *bucket* refs
 // (one per pending timestamp cohort), each owning a FIFO vector of
 // event slots. A small direct-mapped timestamp cache coalesces events
@@ -14,13 +14,11 @@
 // vectors are slab-recycled).
 //
 // The full scheduler contract (total order, tie-breaking, determinism
-// guarantees, pool lifetime rules) and the schedule_at closure shim's
-// contract live in docs/event-engine.md.
+// guarantees, pool lifetime rules) lives in docs/event-engine.md.
 
 #include <array>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -67,11 +65,9 @@ class PacketSink {
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
   /// Wires the packet-plane dispatch target. Must be called before any
   /// schedule_deliver/schedule_icmp event fires (the Simulator does
-  /// this in its constructor); closure and timer events need no sink.
+  /// this in its constructor); timer events need no sink.
   void bind_sink(PacketSink* sink) { sink_ = sink; }
 
   // --- typed, allocation-free scheduling -----------------------------
@@ -86,13 +82,6 @@ class EventQueue {
   /// Schedules `target->on_timer(a, b)` at absolute time `at`.
   void schedule_timer(util::SimTime at, TimerTarget* target, std::uint64_t a,
                       std::uint64_t b);
-
-  /// Closure shim: schedules `action` at absolute time `at`, as a
-  /// pooled closure event in the same (time, seq) order as the typed
-  /// kinds. Kept for tests, examples, and cold paths; allocates
-  /// whenever the callable outgrows std::function's small-buffer
-  /// optimisation.
-  void schedule_at(util::SimTime at, Action action);
 
   [[nodiscard]] bool empty() const { return time_heap_.empty(); }
   [[nodiscard]] std::size_t size() const { return pending_; }
@@ -132,13 +121,11 @@ class EventQueue {
   [[nodiscard]] util::SimTime next_at() const { return peek_at(); }
 
  private:
-  enum class Kind : std::uint32_t { deliver = 0, icmp = 1, timer = 2,
-                                    closure = 3 };
+  enum class Kind : std::uint32_t { deliver = 0, icmp = 1, timer = 2 };
 
   /// Packet-carrying pooled event (delivery or deferred ICMP). Kept in
-  /// its own slab so the hot scan path never touches closure storage:
-  /// the slot is ~2.5× smaller than a combined layout, which matters
-  /// when a whole campaign is pending at once.
+  /// its own slab apart from timers, so neither slot carries the
+  /// other's fields.
   struct PacketEvent {
     Packet pkt;
     HostId dst_host = kInvalidHost;
@@ -148,9 +135,8 @@ class EventQueue {
     std::uint32_t next_free = kNilIndex;
   };
 
-  /// Timer or closure pooled event.
+  /// Timer pooled event.
   struct MiscEvent {
-    Action closure;
     TimerTarget* timer = nullptr;
     std::uint64_t arg_a = 0;
     std::uint64_t arg_b = 0;
@@ -218,7 +204,7 @@ class EventQueue {
   }
   std::uint32_t bucket_for(std::int64_t at_nanos);
   PacketEvent& acquire_packet(util::SimTime at, Kind kind);
-  MiscEvent& acquire_misc(util::SimTime at, Kind kind);
+  MiscEvent& acquire_misc(util::SimTime at);
   void release_packet(std::uint32_t slot);
   void release_misc(std::uint32_t slot);
   void dispatch(std::uint32_t item);

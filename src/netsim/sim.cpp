@@ -41,11 +41,6 @@ Simulator::Shard& Simulator::active_shard() const {
   return *shards_[0];
 }
 
-void Simulator::schedule(util::Duration delay, EventQueue::Action action) {
-  Shard& sh = active_shard();
-  sh.events.schedule_at(sh.events.now() + delay, std::move(action));
-}
-
 void Simulator::schedule_timer(util::Duration delay, TimerTarget* target,
                                std::uint64_t a, std::uint64_t b) {
   Shard& sh = active_shard();

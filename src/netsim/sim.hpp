@@ -190,14 +190,10 @@ class Simulator {
   /// Current simulated time: the executing shard's clock from inside a
   /// handler; the (synchronized) global clock from outside a run.
   [[nodiscard]] util::SimTime now() const;
-  /// Closure shim (see docs/event-engine.md); hot-path timers should
-  /// prefer schedule_timer below.
-  /// Shard affinity: the executing shard from inside a handler, shard
-  /// 0 from outside.
-  void schedule(util::Duration delay, EventQueue::Action action);
   /// Typed, allocation-free timer: fires target->on_timer(a, b) after
   /// `delay`. The argument words are the target's to interpret. Shard
-  /// affinity as for schedule().
+  /// affinity: the executing shard from inside a handler, shard 0 from
+  /// outside.
   void schedule_timer(util::Duration delay, TimerTarget* target,
                       std::uint64_t a, std::uint64_t b = 0);
   /// Shard-affine timer: schedules on the shard owning `affinity`, so

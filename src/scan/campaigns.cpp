@@ -1,5 +1,7 @@
 #include "scan/campaigns.hpp"
 
+#include <stdexcept>
+
 namespace odns::scan {
 
 std::string to_string(CampaignKind k) {
@@ -11,17 +13,29 @@ std::string to_string(CampaignKind k) {
   return "?";
 }
 
+namespace {
+
+CampaignConfig checked(CampaignConfig cfg) {
+  if (cfg.probes_per_second == 0) {
+    throw std::invalid_argument(
+        "StatelessCampaign: probes_per_second must be > 0");
+  }
+  return cfg;
+}
+
+}  // namespace
+
 StatelessCampaign::StatelessCampaign(netsim::Simulator& sim,
                                      netsim::HostId host, CampaignConfig cfg)
-    : sim_(&sim), host_(host), cfg_(std::move(cfg)),
+    : sim_(&sim), host_(host), cfg_(checked(std::move(cfg))),
+      gap_(util::Duration::nanos(static_cast<std::int64_t>(
+          1e9 / static_cast<double>(cfg_.probes_per_second)))),
       next_port_(cfg_.port_base) {
   sim_->bind_udp_wildcard(host_, this);
 }
 
 void StatelessCampaign::run(const std::vector<util::Ipv4>& targets) {
   targets_ = targets;
-  gap_ = util::Duration::nanos(static_cast<std::int64_t>(
-      1e9 / static_cast<double>(cfg_.probes_per_second)));
   // Shard-affine pacing (run() is called from outside the event loop);
   // each firing arms the next send instant from the host's shard.
   if (!targets_.empty()) {

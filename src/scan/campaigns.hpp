@@ -43,6 +43,7 @@ struct CampaignConfig {
 
 class StatelessCampaign : public netsim::App, public netsim::TimerTarget {
  public:
+  /// Throws std::invalid_argument when cfg.probes_per_second is 0.
   StatelessCampaign(netsim::Simulator& sim, netsim::HostId host,
                     CampaignConfig cfg);
 
@@ -75,7 +76,7 @@ class StatelessCampaign : public netsim::App, public netsim::TimerTarget {
   netsim::HostId host_;
   CampaignConfig cfg_;
   std::vector<util::Ipv4> targets_;  // the current run's, in send order
-  util::Duration gap_ = util::Duration::nanos(0);
+  util::Duration gap_;
   /// Ephemeral source port → probed target. Censys/Shodan-style
   /// sanitization compares a response's source with the target probed
   /// from that socket.

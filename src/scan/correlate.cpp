@@ -1,119 +1,20 @@
 #include "scan/correlate.hpp"
 
-#include <unordered_map>
-
-#include "dnswire/codec.hpp"
+#include "scan/stream.hpp"
 
 namespace odns::scan {
-
-void record_response(const netsim::Datagram& dgram, util::SimTime at,
-                     std::uint32_t vantage, std::vector<RawResponse>& capture,
-                     ScannerStats& stats) {
-  auto parsed = dnswire::decode(*dgram.payload);
-  if (!parsed) {
-    // Undecodable captures are counted twice on purpose: parse_errors
-    // keeps the classic total, responses_corrupt isolates the wire-
-    // damage subset the fault plane injects (the fuzz-hardened decode
-    // rejects the flipped bytes instead of misclassifying them).
-    ++stats.parse_errors;
-    ++stats.responses_corrupt;
-    return;
-  }
-  const auto& msg = parsed.value();
-  if (!msg.header.qr) return;  // stray queries aimed at the capture host
-  ++stats.responses_received;
-  RawResponse rec;
-  rec.src = dgram.src;
-  rec.src_port = dgram.src_port;
-  rec.dst_port = dgram.dst_port;
-  rec.txid = msg.header.id;
-  rec.at = at;
-  rec.rcode = msg.header.rcode;
-  rec.answer_addrs = msg.answer_addresses();
-  rec.vantage = vantage;
-  capture.push_back(std::move(rec));
-}
-
-std::vector<RawResponse> merge_captures(
-    const std::vector<const std::vector<RawResponse>*>& buffers) {
-  std::vector<RawResponse> out;
-  std::size_t total = 0;
-  for (const auto* buf : buffers) total += buf->size();
-  out.reserve(total);
-  std::vector<std::size_t> pos(buffers.size(), 0);
-  // Each buffer is already time-ordered; a k-way merge picking the
-  // earliest head (ties by lowest vantage index) yields the documented
-  // (time, vantage, seq) total order.
-  while (out.size() < total) {
-    std::size_t best = buffers.size();
-    std::int64_t best_at = 0;
-    for (std::size_t v = 0; v < buffers.size(); ++v) {
-      if (pos[v] >= buffers[v]->size()) continue;
-      const std::int64_t at = (*buffers[v])[pos[v]].at.nanos();
-      if (best == buffers.size() || at < best_at) {
-        best = v;
-        best_at = at;
-      }
-    }
-    out.push_back((*buffers[best])[pos[best]++]);
-  }
-  return out;
-}
 
 std::vector<Transaction> correlate_capture(
     const std::vector<SentProbe>& probes,
     const std::vector<RawResponse>& capture, util::Duration timeout,
     ScannerStats& stats, util::Duration retry_extension) {
-  std::unordered_map<std::uint32_t, std::uint32_t> tuple_to_probe;
-  tuple_to_probe.reserve(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    tuple_to_probe[(std::uint32_t{probes[i].src_port} << 16) |
-                   probes[i].txid] = static_cast<std::uint32_t>(i);
-  }
-  std::vector<Transaction> out(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    out[i].target = probes[i].target;
-    out[i].sent_at = probes[i].sent_at;
-  }
-  for (const auto& rec : capture) {
-    const std::uint32_t key = (std::uint32_t{rec.dst_port} << 16) | rec.txid;
-    auto it = tuple_to_probe.find(key);
-    if (it == tuple_to_probe.end()) {
-      ++stats.responses_unmatched;
-      continue;
-    }
-    auto& txn = out[it->second];
-    const auto& probe = probes[it->second];
-    const util::Duration age = rec.at - probe.sent_at;
-    if (txn.answered) {
-      // Straggler on a concluded probe: within the original window
-      // it's a genuine duplicate delivery; past it, it's late — e.g.
-      // the original's answer limping in after a retry (same tuple)
-      // already concluded the transaction.
-      if (age > timeout) {
-        ++stats.responses_late;
-      } else {
-        ++stats.responses_duplicate;
-      }
-      continue;
-    }
-    // Unanswered probes accept up to the retry-widened window: the
-    // last retransmission leaves retry_extension after the original
-    // and its answer gets the full timeout. RTT is still measured from
-    // the original send (the plan's invariant instant — which attempt
-    // elicited the answer is unobservable by design, the tuple is
-    // shared).
-    if (age > timeout + retry_extension) {
-      ++stats.responses_late;
-      continue;
-    }
-    txn.answered = true;
-    txn.response_src = rec.src;
-    txn.rtt = age;
-    txn.rcode = rec.rcode;
-    txn.answer_addrs = rec.answer_addrs;
-    txn.vantage = rec.vantage;
-  }
+  StreamingCorrelator corr(probes, timeout, stats, retry_extension);
+  for (const RawResponse& rec : capture) corr.consume(rec);
+  std::vector<Transaction> out;
+  out.reserve(probes.size());
+  corr.finish([&](std::size_t, Transaction&& txn) {
+    out.push_back(std::move(txn));
+  });
   return out;
 }
 

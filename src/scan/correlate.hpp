@@ -1,34 +1,17 @@
 #pragma once
-// The merge-correlator: joins probe and capture logs on the unique
-// (client port, TXID) tuple after the measurement — the post-processing
-// half of §4.1. Shared by the single-vantage TransactionalScanner (its
-// capture log is trivially ordered) and the multi-vantage VantageSet,
-// which first merges per-vantage capture buffers in the deterministic
-// (time, vantage, seq) order — the capture-plane analogue of the
-// engine's (time, shard, seq) cross-shard merge rule (see
-// "Cross-shard merge rule" in docs/event-engine.md and "Multi-vantage
-// census" in docs/architecture.md).
+// Buffered correlation: joins a whole probe log with a whole capture
+// log on the unique (client port, TXID) tuple after the measurement —
+// the post-processing half of §4.1, for the single-vantage
+// TransactionalScanner and for logs read back from CSV (log_io.hpp).
+// It is the streaming correlator (stream.hpp) run with one terminal
+// flush: every record consumed, then every probe finalized — so there
+// is one join and one set of window rules.
 
 #include <vector>
 
-#include "netsim/packet.hpp"
 #include "scan/types.hpp"
 
 namespace odns::scan {
-
-/// Decodes one captured datagram and appends it to `capture` (the
-/// dumpcap hook every capture host shares). Non-responses are ignored;
-/// undecodable payloads count as parse errors. `vantage` tags the
-/// recording capture host.
-void record_response(const netsim::Datagram& dgram, util::SimTime at,
-                     std::uint32_t vantage, std::vector<RawResponse>& capture,
-                     ScannerStats& stats);
-
-/// Merges per-vantage capture buffers into one log ordered by
-/// (time, vantage, seq). Each input buffer must be time-ordered (they
-/// are: capture hosts record in event-execution order).
-[[nodiscard]] std::vector<RawResponse> merge_captures(
-    const std::vector<const std::vector<RawResponse>*>& buffers);
 
 /// Joins `capture` with `probes` on (client port, TXID) and returns
 /// one transaction per probe. The first in-window response in capture
@@ -38,7 +21,8 @@ void record_response(const netsim::Datagram& dgram, util::SimTime at,
 /// (ScanConfig::retry_extension()) widens the accept window for
 /// *unanswered* probes only, so answers elicited by retransmissions
 /// (same tuple, sent up to that much later) still correlate. Updates
-/// the unmatched/duplicate/late statistics in `stats`.
+/// the unmatched/duplicate/late statistics in `stats`. `capture` is
+/// read, not consumed.
 [[nodiscard]] std::vector<Transaction> correlate_capture(
     const std::vector<SentProbe>& probes,
     const std::vector<RawResponse>& capture, util::Duration timeout,

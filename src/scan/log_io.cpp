@@ -3,7 +3,6 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
 
 #include "util/strings.hpp"
 
@@ -121,33 +120,6 @@ std::vector<Transaction> read_transactions_csv(std::istream& is) {
     t.rcode = static_cast<dnswire::Rcode>(std::stoi(fields[4]));
     t.answer_addrs = parse_addr_list(fields[5]);
     out.push_back(t);
-  }
-  return out;
-}
-
-std::vector<Transaction> correlate_offline(
-    const std::vector<SentProbe>& probes,
-    const std::vector<RawResponse>& capture, util::Duration timeout) {
-  std::unordered_map<std::uint32_t, std::size_t> tuple_to_probe;
-  std::vector<Transaction> out(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    tuple_to_probe[(std::uint32_t{probes[i].src_port} << 16) |
-                   probes[i].txid] = i;
-    out[i].target = probes[i].target;
-    out[i].sent_at = probes[i].sent_at;
-  }
-  for (const auto& rec : capture) {
-    auto it = tuple_to_probe.find((std::uint32_t{rec.dst_port} << 16) |
-                                  rec.txid);
-    if (it == tuple_to_probe.end()) continue;
-    auto& txn = out[it->second];
-    if (txn.answered) continue;
-    if (rec.at - probes[it->second].sent_at > timeout) continue;
-    txn.answered = true;
-    txn.response_src = rec.src;
-    txn.rtt = rec.at - probes[it->second].sent_at;
-    txn.rcode = rec.rcode;
-    txn.answer_addrs = rec.answer_addrs;
   }
   return out;
 }

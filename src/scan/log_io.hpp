@@ -3,7 +3,8 @@
 // (dumpcap-equivalent) and correlated transactions serialize to CSV so
 // post-processing can happen offline — mirroring the paper's artifact
 // pipeline (dns-scan-server produces captures; dns-measurement-analysis
-// consumes them).
+// consumes them). Persisted logs correlate offline with
+// correlate_capture (correlate.hpp), the same join the scanner runs.
 
 #include <iosfwd>
 #include <vector>
@@ -22,11 +23,5 @@ std::vector<RawResponse> read_capture_csv(std::istream& is);
 void write_transactions_csv(std::ostream& os,
                             const std::vector<Transaction>& txns);
 std::vector<Transaction> read_transactions_csv(std::istream& is);
-
-/// Offline correlation over persisted logs — identical join semantics
-/// to TransactionalScanner::correlate(), usable without the simulator.
-std::vector<Transaction> correlate_offline(
-    const std::vector<SentProbe>& probes,
-    const std::vector<RawResponse>& capture, util::Duration timeout);
 
 }  // namespace odns::scan

@@ -36,6 +36,15 @@ void PlanPacer::assign(const VantagePlan& plan,
   next_ = 0;
 }
 
+void VantagePlan::append_probe_table(util::SimTime t0,
+                                     std::vector<SentProbe>& out) const {
+  out.reserve(out.size() + originals_);
+  for (std::size_t i = 0; i < originals_; ++i) {
+    const PlannedProbe& p = probes_[i];
+    out.push_back(SentProbe{p.target, p.src_port, p.txid, t0 + p.at});
+  }
+}
+
 VantagePlan VantagePlan::build(const netsim::Simulator& sim,
                                const ScanConfig& cfg,
                                const std::vector<util::Ipv4>& targets) {

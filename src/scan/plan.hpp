@@ -93,6 +93,13 @@ class VantagePlan {
   /// Number of attempt-0 entries (the probe-table prefix of probes()).
   [[nodiscard]] std::size_t original_count() const { return originals_; }
 
+  /// Appends the probe table of a scan started at `t0`: one SentProbe
+  /// per attempt-0 entry, sent at t0 + at (sends happen at exactly
+  /// their planned instants). Retransmissions share their original's
+  /// tuple and target, so they add sends but no rows.
+  void append_probe_table(util::SimTime t0,
+                          std::vector<SentProbe>& out) const;
+
  private:
   std::vector<PlannedProbe> probes_;
   util::Duration gap_ = util::Duration::nanos(0);

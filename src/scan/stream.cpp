@@ -13,8 +13,8 @@ StreamingCorrelator::StreamingCorrelator(const std::vector<SentProbe>& probes,
   // Verify the TupleSequencer pattern once (O(n), allocation-free): the
   // plane is the port-space width, txids start at 1 and advance per
   // wrap. Conformant plans get the arithmetic inverse; anything else
-  // (hand-built probe tables, repeated start() calls) falls back to
-  // the classic hash join.
+  // (hand-built probe tables, repeated start() calls) falls back to a
+  // tuple map.
   const std::size_t n = probes.size();
   if (n > 0) {
     base_port_ = probes[0].src_port;
@@ -75,7 +75,7 @@ std::size_t StreamingCorrelator::probe_index_of(std::uint16_t port,
   return it == fallback_.end() ? kNoProbe : it->second;
 }
 
-void StreamingCorrelator::consume(RawResponse&& rec) {
+void StreamingCorrelator::consume(RawResponse rec) {
   const std::size_t idx = probe_index_of(rec.dst_port, rec.txid);
   if (idx == kNoProbe) {
     ++stats_->responses_unmatched;
@@ -104,9 +104,9 @@ void StreamingCorrelator::consume(RawResponse&& rec) {
   }
   PendingTxn& slot = window_[off];
   if (slot.answered) {
-    // Same straggler rule as correlate_capture: duplicates within the
-    // original window, late past it (e.g. the original's answer after
-    // a retry already concluded the probe).
+    // Straggler rule: duplicates within the original window, late past
+    // it (e.g. the original's answer after a retry already concluded
+    // the probe).
     if (age > timeout_) {
       ++stats_->responses_late;
     } else {

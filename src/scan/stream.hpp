@@ -1,20 +1,18 @@
 #pragma once
-// Streaming (windowed) correlation: the scale half of §4.1. The
-// classic merge-correlator (correlate.hpp) buffers every captured
-// datagram for the whole run and joins once at the end — the first
-// thing that breaks at 10⁶ targets is exactly that accumulate-
-// everything buffer. The StreamingCorrelator consumes the capture log
-// in watermark order and finalizes a probe's transaction as soon as
-// its timeout window has provably closed, so steady-state memory is
-// bounded by the in-flight window (timeout × probe rate), not by the
-// run length.
+// The (client port, TXID) correlator of §4.1 — the only one. It
+// consumes the capture log in watermark order and finalizes a probe's
+// transaction as soon as its timeout window has provably closed, so
+// steady-state memory is bounded by the in-flight window (timeout ×
+// probe rate), not by the run length. The streaming census
+// (VantageSet::run_and_correlate_streaming) advances it at every
+// flush barrier; buffered correlation (correlate_capture,
+// VantageSet::correlate) consumes the whole log and finishes once.
 //
 // Equivalence contract: fed the same records in the same merged
 // (time, vantage, seq) order, the streamed transactions — values,
-// probe order, and the unmatched/late/duplicate statistics — are
-// byte-identical to correlate_capture() over the full buffer
-// (tests/scale_census_test.cpp, the streaming-vs-buffered
-// differential).
+// probe order, and the unmatched/late/duplicate statistics — are the
+// same whatever the flush windows (tests/scale_census_test.cpp pins
+// the streaming and the buffered census to one digest).
 
 #include <cstdint>
 #include <deque>
@@ -28,26 +26,26 @@ namespace odns::scan {
 
 class StreamingCorrelator {
  public:
-  /// Receives each finalized transaction, in probe-index order — the
-  /// same order correlate_capture() returns. The index is the probe's
-  /// position in the global probe table.
+  /// Receives each finalized transaction, in probe-index order. The
+  /// index is the probe's position in the global probe table.
   using Sink = std::function<void(std::size_t probe_index, Transaction&&)>;
 
   /// `probes` must outlive the correlator and stay unchanged during
   /// streaming. Correlation statistics (unmatched/late/duplicate)
-  /// accumulate into `stats`, mirroring correlate_capture().
-  /// `retry_extension` (ScanConfig::retry_extension()) widens the
-  /// accept window for unanswered probes exactly as in
-  /// correlate_capture — and with it each probe's finalization
-  /// watermark, so a last-retry answer is never finalized away.
+  /// accumulate into `stats`. `retry_extension`
+  /// (ScanConfig::retry_extension()) widens the accept window for
+  /// unanswered probes (see correlate_capture) — and with it each
+  /// probe's finalization watermark, so a last-retry answer is never
+  /// finalized away.
   StreamingCorrelator(const std::vector<SentProbe>& probes,
                       util::Duration timeout, ScannerStats& stats,
                       util::Duration retry_extension = util::Duration::nanos(0));
 
   /// Feeds one captured record. Records must arrive in the merged
   /// (time, vantage, seq) order, and only up to the watermark of the
-  /// next advance() call.
-  void consume(RawResponse&& rec);
+  /// next advance() call. Taken by value: the streaming path moves
+  /// records in, buffered callers copy them and keep their log.
+  void consume(RawResponse rec);
 
   /// Finalizes every probe whose timeout window closed at or before
   /// `watermark`: all records at <= watermark have been consumed, so
@@ -67,8 +65,9 @@ class StreamingCorrelator {
   [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
   /// True while tuple lookup runs arithmetically against the
   /// TupleSequencer pattern (no per-probe hash map). False only for
-  /// plans that do not follow the sequencer, which fall back to the
-  /// classic map.
+  /// probe tables that do not follow the sequencer (hand-built or
+  /// CSV-read logs, repeated start() calls), which fall back to a
+  /// tuple map.
   [[nodiscard]] bool dense_lookup() const { return arithmetic_; }
 
  private:

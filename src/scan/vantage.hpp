@@ -1,9 +1,9 @@
 #pragma once
 // Multi-vantage census measurement: a VantageSet of per-shard capture
-// hosts executing slices of one global probe plan (plan.hpp), each
-// owning a shard-local probe pacer, SentProbe slice, and RawResponse
-// capture buffer, with correlation fed by the deterministic
-// (time, vantage, seq) capture merge (correlate.hpp).
+// hosts executing slices of one global probe plan (plan.hpp). Each
+// member is a probe sender (capture_vantage.hpp) with a shard-local
+// pacer and capture buffer; correlation consumes the members' buffers
+// in the deterministic (time, vantage, seq) merge order.
 //
 // The point (the paper's central methodological result): ODNS
 // visibility is vantage-dependent, and a single-vantage scanner is
@@ -23,16 +23,17 @@
 // for any shard count and any vantage count. See "Multi-vantage
 // census" in docs/architecture.md.
 
+#include <functional>
 #include <memory>
 #include <vector>
 
 #include "netsim/sim.hpp"
+#include "scan/capture_vantage.hpp"
 #include "scan/plan.hpp"
 #include "scan/types.hpp"
 
 namespace odns::scan {
 
-class CaptureVantage;
 class StreamingCorrelator;
 
 class VantageSet {
@@ -61,9 +62,11 @@ class VantageSet {
   /// TransactionalScanner::run_to_completion).
   void run_to_completion();
 
-  /// Merges the per-vantage capture buffers in (time, vantage, seq)
-  /// order and joins them with the global probe table. Unanswered
-  /// probes are attributed to the vantage that sent them.
+  /// Buffered correlation: drains every member's capture buffer into
+  /// one StreamingCorrelator in (time, vantage, seq) order and joins it
+  /// with the global probe table. Unanswered probes are attributed to
+  /// the vantage that sent them. The member buffers are empty
+  /// afterwards (capture_of() reads nothing).
   [[nodiscard]] std::vector<Transaction> correlate();
 
   /// Receives each finalized transaction during streaming correlation,
@@ -97,11 +100,11 @@ class VantageSet {
   [[nodiscard]] const std::vector<SentProbe>& probes() const {
     return probes_;
   }
-  /// The merged (time, vantage, seq) capture log.
-  [[nodiscard]] std::vector<RawResponse> merged_capture() const;
-  /// One member's local capture buffer.
+  /// One member's local capture buffer (records not yet correlated).
   [[nodiscard]] const std::vector<RawResponse>& capture_of(
-      std::size_t vantage) const;
+      std::size_t vantage) const {
+    return members_[vantage]->capture();
+  }
   /// Aggregated statistics (field-wise sum over members + correlation).
   [[nodiscard]] ScannerStats stats() const;
   [[nodiscard]] std::size_t vantage_count() const { return members_.size(); }
@@ -109,8 +112,6 @@ class VantageSet {
   [[nodiscard]] util::SimTime last_send_at() const { return last_send_at_; }
 
  private:
-  friend class CaptureVantage;
-
   /// Merges and consumes every member-capture record at or before
   /// `cutoff` (a time-ordered prefix of each buffer), then compacts
   /// the consumed prefixes.

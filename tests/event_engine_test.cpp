@@ -64,24 +64,24 @@ class CountingTimer : public TimerTarget {
 TEST(EventEngineTest, FarFutureNamesTheDrainSentinel) {
   EXPECT_EQ(SimTime::far_future().nanos(), std::int64_t{1} << 62);
   EventQueue q;
-  bool ran = false;
-  q.schedule_at(SimTime::from_nanos(42), [&] { ran = true; });
+  test::WordTimer timer;
+  q.schedule_timer(SimTime::from_nanos(42), &timer, 1, 0);
   q.run();  // default deadline = far_future(): drain, don't advance past
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(timer.words, (std::vector<std::uint64_t>{1}));
   EXPECT_EQ(q.now(), SimTime::from_nanos(42));
 }
 
-TEST(EventEngineTest, TypedKindsInterleaveWithClosuresBySequence) {
+TEST(EventEngineTest, TypedKindsInterleaveBySequence) {
   EventQueue q;
   RecordingSink sink;
   q.bind_sink(&sink);
   CountingTimer timer;
-  std::vector<int> order;
+  test::WordTimer order;
 
-  // All four kinds at the same timestamp: execution must follow
+  // Every kind at the same timestamp: execution must follow
   // scheduling order exactly (the seq tie-break).
   const auto at = SimTime::from_nanos(100);
-  q.schedule_at(at, [&] { order.push_back(0); });
+  q.schedule_timer(at, &order, 0, 0);
   q.schedule_timer(at, &timer, 7, 9);
   Packet pkt;
   pkt.src = Ipv4{10, 0, 0, 1};
@@ -92,10 +92,10 @@ TEST(EventEngineTest, TypedKindsInterleaveWithClosuresBySequence) {
   off.src = Ipv4{10, 0, 0, 3};
   q.schedule_icmp(at, IcmpType::ttl_exceeded, std::move(off), Ipv4{9, 9, 9, 9},
                   Asn{42});
-  q.schedule_at(at, [&] { order.push_back(1); });
+  q.schedule_timer(at, &order, 1, 0);
 
   EXPECT_EQ(q.step_batch(), 5u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(order.words, (std::vector<std::uint64_t>{0, 1}));
   ASSERT_EQ(timer.fired.size(), 1u);
   EXPECT_EQ(timer.fired[0], (std::pair<std::uint64_t, std::uint64_t>{7, 9}));
   ASSERT_EQ(sink.deliveries.size(), 1u);
@@ -109,18 +109,19 @@ TEST(EventEngineTest, TypedKindsInterleaveWithClosuresBySequence) {
 
 TEST(EventEngineTest, BatchAbsorbsSameTimestampReschedules) {
   EventQueue q;
-  std::vector<int> order;
+  test::WordTimer order;
   // The first handler schedules two more events "in the past" — they
   // clamp to the batch timestamp and must run after everything already
   // pending there, in scheduling order.
-  q.schedule_at(SimTime::from_nanos(50), [&] {
-    order.push_back(0);
-    q.schedule_at(SimTime::from_nanos(10), [&] { order.push_back(2); });
-    q.schedule_at(SimTime::from_nanos(50), [&] { order.push_back(3); });
-  });
-  q.schedule_at(SimTime::from_nanos(50), [&] { order.push_back(1); });
+  order.then = [&](std::uint64_t word) {
+    if (word != 0) return;
+    q.schedule_timer(SimTime::from_nanos(10), &order, 2, 0);
+    q.schedule_timer(SimTime::from_nanos(50), &order, 3, 0);
+  };
+  q.schedule_timer(SimTime::from_nanos(50), &order, 0, 0);
+  q.schedule_timer(SimTime::from_nanos(50), &order, 1, 0);
   EXPECT_EQ(q.step_batch(), 4u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(order.words, (std::vector<std::uint64_t>{0, 1, 2, 3}));
   EXPECT_EQ(q.now(), SimTime::from_nanos(50));
 }
 
@@ -157,12 +158,12 @@ TEST(EventEngineTest, MixedScheduleFollowsStableTimeSeqOrder) {
     RecordingSink sink;
     q.bind_sink(&sink);
     CountingTimer timer;
-    std::vector<std::uint64_t> order;
+    test::WordTimer words;
     for (std::uint64_t i = 0; i < 16; ++i) {
       const auto at = SimTime::from_nanos(static_cast<std::int64_t>(
           (i * 37) % 5));  // clustered timestamps force tie-breaks
       if (i % 3 == 0) {
-        q.schedule_at(at, [&order, i] { order.push_back(i); });
+        q.schedule_timer(at, &words, i, 0);
       } else if (i % 3 == 1) {
         q.schedule_timer(at, &timer, i, 0);
       } else {
@@ -172,6 +173,7 @@ TEST(EventEngineTest, MixedScheduleFollowsStableTimeSeqOrder) {
       }
     }
     q.run();
+    std::vector<std::uint64_t> order = words.words;
     for (const auto& [a, b] : timer.fired) order.push_back(a + 1000);
     for (const auto& d : sink.deliveries) order.push_back(d.dst.value() + 2000);
     order.push_back(q.now().nanos());
@@ -187,17 +189,17 @@ TEST(EventEngineTest, MixedScheduleFollowsStableTimeSeqOrder) {
   }
   std::stable_sort(schedule.begin(), schedule.end(),
                    [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::uint64_t> closures, timers, deliveries;
+  std::vector<std::uint64_t> words, timers, deliveries;
   for (const auto& [at, i] : schedule) {
     if (i % 3 == 0) {
-      closures.push_back(i);
+      words.push_back(i);
     } else if (i % 3 == 1) {
       timers.push_back(i + 1000);
     } else {
       deliveries.push_back(i + 2000);
     }
   }
-  std::vector<std::uint64_t> expected = closures;
+  std::vector<std::uint64_t> expected = words;
   expected.insert(expected.end(), timers.begin(), timers.end());
   expected.insert(expected.end(), deliveries.begin(), deliveries.end());
   expected.push_back(static_cast<std::uint64_t>(schedule.back().first));

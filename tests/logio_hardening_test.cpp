@@ -5,6 +5,7 @@
 
 #include <sstream>
 
+#include "scan/correlate.hpp"
 #include "scan/log_io.hpp"
 #include "testutil.hpp"
 
@@ -59,9 +60,10 @@ TEST_F(LogIoFixture, OfflineCorrelationMatchesOnline) {
   std::stringstream capture_csv;
   write_probes_csv(probes_csv, scanner.probes());
   write_capture_csv(capture_csv, scanner.capture());
-  const auto offline = correlate_offline(read_probes_csv(probes_csv),
+  ScannerStats offline_stats;
+  const auto offline = correlate_capture(read_probes_csv(probes_csv),
                                          read_capture_csv(capture_csv),
-                                         Duration::seconds(20));
+                                         Duration::seconds(20), offline_stats);
   ASSERT_EQ(offline.size(), online.size());
   for (std::size_t i = 0; i < online.size(); ++i) {
     EXPECT_EQ(offline[i].answered, online[i].answered);

@@ -2,6 +2,7 @@
 
 #include "netsim/event_queue.hpp"
 #include "netsim/sim.hpp"
+#include "testutil.hpp"
 
 namespace odns::netsim {
 namespace {
@@ -17,58 +18,59 @@ using util::SimTime;
 
 TEST(EventQueueTest, ExecutesInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(SimTime::from_nanos(30), [&] { order.push_back(3); });
-  q.schedule_at(SimTime::from_nanos(10), [&] { order.push_back(1); });
-  q.schedule_at(SimTime::from_nanos(20), [&] { order.push_back(2); });
+  test::WordTimer order;
+  q.schedule_timer(SimTime::from_nanos(30), &order, 3, 0);
+  q.schedule_timer(SimTime::from_nanos(10), &order, 1, 0);
+  q.schedule_timer(SimTime::from_nanos(20), &order, 2, 0);
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(order.words, (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    q.schedule_at(SimTime::from_nanos(100), [&order, i] { order.push_back(i); });
+  test::WordTimer order;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    q.schedule_timer(SimTime::from_nanos(100), &order, i, 0);
   }
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(order.words, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueueTest, PastEventsClampToNow) {
   EventQueue q;
-  bool ran = false;
-  q.schedule_at(SimTime::from_nanos(100), [&] {
-    q.schedule_at(SimTime::from_nanos(50), [&] { ran = true; });
-  });
+  test::WordTimer timer;
+  timer.then = [&](std::uint64_t word) {
+    if (word == 0) q.schedule_timer(SimTime::from_nanos(50), &timer, 1, 0);
+  };
+  q.schedule_timer(SimTime::from_nanos(100), &timer, 0, 0);
   q.run();
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(timer.words, (std::vector<std::uint64_t>{0, 1}));
   EXPECT_EQ(q.now().nanos(), 100);
 }
 
 TEST(EventQueueTest, RunRespectsDeadline) {
   EventQueue q;
-  int count = 0;
-  q.schedule_at(SimTime::from_nanos(10), [&] { ++count; });
-  q.schedule_at(SimTime::from_nanos(1000), [&] { ++count; });
+  test::WordTimer timer;
+  q.schedule_timer(SimTime::from_nanos(10), &timer, 0, 0);
+  q.schedule_timer(SimTime::from_nanos(1000), &timer, 1, 0);
   q.run(SimTime::from_nanos(100));
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(timer.words.size(), 1u);
   EXPECT_EQ(q.now(), SimTime::from_nanos(100));
   q.run();
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(timer.words.size(), 2u);
 }
 
 TEST(EventQueueTest, EventsCanScheduleEvents) {
   EventQueue q;
-  int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 10) {
-      q.schedule_at(q.now() + Duration::nanos(1), recurse);
+  test::WordTimer timer;
+  timer.then = [&](std::uint64_t depth) {
+    if (depth + 1 < 10) {
+      q.schedule_timer(q.now() + Duration::nanos(1), &timer, depth + 1, 0);
     }
   };
-  q.schedule_at(SimTime::origin(), recurse);
+  q.schedule_timer(SimTime::origin(), &timer, 0, 0);
   q.run();
-  EXPECT_EQ(depth, 10);
+  EXPECT_EQ(timer.words.size(), 10u);
 }
 
 // ---------------------------------------------------------------------

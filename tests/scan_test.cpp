@@ -181,6 +181,14 @@ TEST_F(ScanFixture, ZeroProbeRatePlanThrows) {
                std::invalid_argument);
 }
 
+TEST_F(ScanFixture, ZeroProbeRateCampaignThrows) {
+  CampaignConfig cc;
+  cc.qname = world.scan_name;
+  cc.probes_per_second = 0;
+  EXPECT_THROW(StatelessCampaign(world.sim, world.scanner_host, cc),
+               std::invalid_argument);
+}
+
 TEST_F(ScanFixture, LateResponsesCountedNotMatched) {
   ScanConfig cfg = scan_config();
   cfg.timeout = Duration::nanos(1);  // everything is late
@@ -191,6 +199,39 @@ TEST_F(ScanFixture, LateResponsesCountedNotMatched) {
   ASSERT_EQ(txns.size(), 1u);
   EXPECT_FALSE(txns[0].answered);
   EXPECT_EQ(scanner.stats().responses_late, 1u);
+}
+
+TEST_F(ScanFixture, ProbeWireBytesEqualAFreshEncodePerProbe) {
+  // The sender encodes a static-qname query once and patches each
+  // probe's TXID into it. Every probe must still carry exactly the
+  // bytes a fresh encode with its TXID gives. A two-port range over
+  // 600 targets takes the TXID past 255, so both ID bytes vary.
+  ScanConfig cfg = scan_config();
+  cfg.port_limit = static_cast<std::uint16_t>(cfg.port_base + 1);
+  std::vector<Ipv4> targets;
+  for (std::uint32_t i = 0; i < 600; ++i) {
+    targets.push_back(Ipv4{Ipv4{20, 0, 1, 0}.value() + i});
+  }
+  std::vector<netsim::Packet> sent;
+  world.sim.add_tap([&](netsim::TapEvent ev, const netsim::Packet& pkt) {
+    if (ev == netsim::TapEvent::sent && pkt.src == test::kScannerAddr &&
+        pkt.dst_port == 53) {
+      sent.push_back(pkt);
+    }
+  });
+  TransactionalScanner scanner(world.sim, world.scanner_host, cfg);
+  scanner.start(targets);
+  scanner.run_to_completion();
+  const auto& probes = scanner.probes();
+  ASSERT_EQ(sent.size(), probes.size());
+  EXPECT_GT(probes.back().txid, 255);
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(sent[i].src_port, probes[i].src_port);
+    EXPECT_EQ(sent[i].payload,
+              dnswire::encode(dnswire::make_query(probes[i].txid, cfg.qname,
+                                                  cfg.qtype)))
+        << "probe " << i;
+  }
 }
 
 TEST_F(ScanFixture, QueryEncodingModeUsesPerTargetNames) {

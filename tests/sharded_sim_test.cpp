@@ -375,7 +375,6 @@ TEST(MultiVantage, CaptureSpreadsAcrossShards) {
     total_captured += set.capture_of(v).size();
   }
   EXPECT_GT(members_with_capture, 1u);
-  EXPECT_EQ(total_captured, set.merged_capture().size());
   EXPECT_EQ(set.stats().responses_received, total_captured);
 }
 

@@ -6,10 +6,12 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "nodes/auth_server.hpp"
 #include "nodes/forwarder.hpp"
@@ -50,6 +52,19 @@ inline std::uint64_t text_digest(std::string_view text) {
   }
   return h;
 }
+
+/// Records the first argument word of every timer it receives, in
+/// firing order. `then`, when set, runs after each record, so a test
+/// handler can schedule further events from inside the event loop.
+struct WordTimer : netsim::TimerTarget {
+  std::vector<std::uint64_t> words;
+  std::function<void(std::uint64_t)> then;
+
+  void on_timer(std::uint64_t a, std::uint64_t) override {
+    words.push_back(a);
+    if (then) then(a);
+  }
+};
 
 /// Every SimCounters field, space-separated, in declaration order.
 inline std::string render_counters(const netsim::SimCounters& c) {
