@@ -9,7 +9,9 @@
 // The corpus is adversarial on purpose: shared suffixes and mixed-case
 // owners (compression pointers with case-folded keys), OPT pseudo-
 // records, RawRecords of unmodeled types, empty sections, and every
-// header flag randomized. 10k+ cases across independent seeds.
+// header flag randomized. 10k+ cases across independent seeds. Every
+// wire image and every decoded message is folded into a digest pinned
+// while the two codecs still existed side by side.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +24,7 @@
 #include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
+#include "testutil.hpp"
 #include "util/rng.hpp"
 
 namespace odns {
@@ -190,6 +193,86 @@ Message random_message(util::Rng& rng) {
   return msg;
 }
 
+/// Length-prefixed labels: "3:www7:example3:com." — unambiguous even
+/// when a label carries a literal '.'.
+void render_name(std::string& out, const Name& n) {
+  for (const auto& l : n.labels()) {
+    out += std::to_string(l.size());
+    out += ':';
+    out += l;
+  }
+  out += '.';
+}
+
+void render_record(std::string& out, const ResourceRecord& rr) {
+  render_name(out, rr.name);
+  out += ' ' + std::to_string(static_cast<int>(rr.type)) + ' ' +
+         std::to_string(static_cast<int>(rr.klass)) + ' ' +
+         std::to_string(rr.ttl) + ' ';
+  std::visit(
+      [&out](const auto& rd) {
+        using T = std::decay_t<decltype(rd)>;
+        if constexpr (std::is_same_v<T, dnswire::ARecord>) {
+          out += std::to_string(rd.addr.value());
+        } else if constexpr (std::is_same_v<T, dnswire::NsRecord>) {
+          render_name(out, rd.host);
+        } else if constexpr (std::is_same_v<T, dnswire::CnameRecord> ||
+                             std::is_same_v<T, PtrRecord>) {
+          render_name(out, rd.target);
+        } else if constexpr (std::is_same_v<T, dnswire::TxtRecord>) {
+          for (const auto& s : rd.strings) {
+            out += std::to_string(s.size()) + ':' + s;
+          }
+        } else if constexpr (std::is_same_v<T, dnswire::SoaRecord>) {
+          render_name(out, rd.mname);
+          render_name(out, rd.rname);
+          for (const auto v :
+               {rd.serial, rd.refresh, rd.retry, rd.expire, rd.minimum}) {
+            out += ' ' + std::to_string(v);
+          }
+        } else if constexpr (std::is_same_v<T, OptRecord>) {
+          out += "opt" + std::to_string(rd.udp_payload_size);
+        } else if constexpr (std::is_same_v<T, RawRecord>) {
+          for (const auto b : rd.data) out += std::to_string(b) + ',';
+        }
+      },
+      rr.rdata);
+  out += '\n';
+}
+
+/// Every field of a decoded message as text.
+std::string render(const Message& m) {
+  const auto& h = m.header;
+  std::string out = std::to_string(h.id) + ' ' + std::to_string(h.qr) +
+                    std::to_string(static_cast<int>(h.opcode)) +
+                    std::to_string(h.aa) + std::to_string(h.tc) +
+                    std::to_string(h.rd) + std::to_string(h.ra) +
+                    std::to_string(static_cast<int>(h.rcode)) + '\n';
+  for (const auto& q : m.questions) {
+    render_name(out, q.name);
+    out += ' ' + std::to_string(static_cast<int>(q.type)) + ' ' +
+           std::to_string(static_cast<int>(q.klass)) + '\n';
+  }
+  for (const auto* section : {&m.answers, &m.authorities, &m.additionals}) {
+    out += "--\n";
+    for (const auto& rr : *section) render_record(out, rr);
+  }
+  return out;
+}
+
+/// Running digests of a corpus: its wire images and its decoded
+/// messages.
+struct CorpusDigest {
+  std::uint64_t wire = util::kFnv1aBasis;
+  std::uint64_t decoded = util::kFnv1aBasis;
+
+  void add(std::span<const std::uint8_t> bytes, const Message& msg) {
+    wire = util::fnv1a64(wire, bytes.size());
+    for (const auto b : bytes) wire = util::fnv1a64(wire, b);
+    decoded = util::fnv1a64(decoded, test::text_digest(render(msg)));
+  }
+};
+
 void expect_headers_equal(const dnswire::Header& a, const dnswire::Header& b) {
   EXPECT_EQ(a.id, b.id);
   EXPECT_EQ(a.qr, b.qr);
@@ -202,7 +285,7 @@ void expect_headers_equal(const dnswire::Header& a, const dnswire::Header& b) {
 }
 
 /// One corpus element, checked through every cross-codec seam.
-void check_case(const Message& msg, int iter) {
+void check_case(const Message& msg, int iter, CorpusDigest& digest) {
   const std::vector<std::uint8_t> heap_wire = dnswire::encode(msg);
 
   // Arena decode accepts what heap decode accepts...
@@ -219,6 +302,7 @@ void check_case(const Message& msg, int iter) {
   EXPECT_EQ(mat.answers, heap_decoded.value().answers) << iter;
   EXPECT_EQ(mat.authorities, heap_decoded.value().authorities) << iter;
   EXPECT_EQ(mat.additionals, heap_decoded.value().additionals) << iter;
+  digest.add(heap_wire, mat);
 
   // ...and re-encodes to the identical bytes, both from the decoded
   // view and from a view over the heap model.
@@ -238,19 +322,28 @@ void check_case(const Message& msg, int iter) {
       << "iteration " << iter;
 }
 
+void expect_digest(const CorpusDigest& d, std::uint64_t wire,
+                   std::uint64_t decoded) {
+  EXPECT_EQ(d.wire, wire) << std::hex << "wire digest 0x" << d.wire;
+  EXPECT_EQ(d.decoded, decoded) << std::hex << "decoded digest 0x"
+                                << d.decoded;
+}
+
 TEST(DnswireDifferential, TenThousandSeededCasesAgreeByteForByte) {
   static constexpr std::uint64_t kSeeds[] = {0xC0FFEE, 0xDECAF1, 0x5CA1AB1E,
                                              0xB16B00B5, 0xCAFEF00D};
+  CorpusDigest digest;
   for (const auto seed : kSeeds) {
     util::Rng rng(seed);
     for (int iter = 0; iter < 2100; ++iter) {
       const Message msg = random_message(rng);
-      check_case(msg, iter);
+      check_case(msg, iter, digest);
       if (HasFatalFailure()) {
         FAIL() << "seed " << seed << " iteration " << iter;
       }
     }
   }
+  expect_digest(digest, 0x77885d8ca1aaac01, 0x489fe01063047ae3);
 }
 
 TEST(DnswireDifferential, CompressionPointerShapesAgree) {
@@ -283,15 +376,19 @@ TEST(DnswireDifferential, CompressionPointerShapesAgree) {
     msg.additionals.push_back(
         ResourceRecord::a(*split, util::Ipv4{10, 0, 0, 4}, 60));
   }
-  check_case(msg, /*iter=*/-1);
+  CorpusDigest digest;
+  check_case(msg, /*iter=*/-1, digest);
+  expect_digest(digest, 0xda71de583547b7de, 0x8bd43de1e5f4fc2d);
 }
 
 TEST(DnswireDifferential, EmptyAndHeaderOnlyMessagesAgree) {
   Message msg;  // header-only, all sections empty
-  check_case(msg, /*iter=*/-2);
+  CorpusDigest digest;
+  check_case(msg, /*iter=*/-2, digest);
   msg.header.qr = true;
   msg.header.rcode = dnswire::Rcode::refused;
-  check_case(msg, /*iter=*/-3);
+  check_case(msg, /*iter=*/-3, digest);
+  expect_digest(digest, 0x6c0cf92b29e3d9c0, 0x60515cdfb89cc5ec);
 }
 
 TEST(DnswireDifferential, EmptyRdataRecordsAgree) {
@@ -307,7 +404,9 @@ TEST(DnswireDifferential, EmptyRdataRecordsAgree) {
                                        RrClass::in, 60, RawRecord{}});
   msg.additionals.push_back(
       ResourceRecord{Name{}, RrType::opt, RrClass::in, 0, OptRecord{}});
-  check_case(msg, /*iter=*/-4);
+  CorpusDigest digest;
+  check_case(msg, /*iter=*/-4, digest);
+  expect_digest(digest, 0x3256731a69286d, 0xc0ae1ceacafdcc06);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace odns {
@@ -28,10 +29,22 @@ using dnswire::Name;
 using dnswire::ResourceRecord;
 using dnswire::RrType;
 
+/// Running digest of decoder verdicts: each input folds in its
+/// DecodeError, or its re-encoded wire image when it decodes. Pinned
+/// per test while the heap and arena decoders still existed side by
+/// side (and agreed on every input).
+struct VerdictDigest {
+  std::uint64_t h = util::kFnv1aBasis;
+  std::size_t inputs = 0;
+  std::size_t accepted = 0;
+};
+
 /// Verdict parity: on every input — valid, truncated, corrupted, or
 /// garbage — the arena decoder must accept exactly what the heap
 /// decoder accepts and return the identical DecodeError otherwise.
-void expect_same_verdict(std::span<const std::uint8_t> wire) {
+void expect_same_verdict(std::span<const std::uint8_t> wire,
+                         VerdictDigest& digest) {
+  ++digest.inputs;
   dnswire::WireArena arena;
   auto heap = dnswire::decode(wire);
   auto view = dnswire::decode_into(arena, wire);
@@ -39,6 +52,7 @@ void expect_same_verdict(std::span<const std::uint8_t> wire) {
                                   << "-byte input";
   if (!heap.ok()) {
     EXPECT_EQ(heap.error(), view.error());
+    digest.h = util::fnv1a64(digest.h, 1000 + static_cast<int>(view.error()));
     return;
   }
   // Accepted inputs must also re-encode identically through both.
@@ -48,6 +62,16 @@ void expect_same_verdict(std::span<const std::uint8_t> wire) {
   ASSERT_EQ(arena_wire.size(), heap_wire.size());
   EXPECT_TRUE(
       std::equal(arena_wire.begin(), arena_wire.end(), heap_wire.begin()));
+  ++digest.accepted;
+  digest.h = util::fnv1a64(digest.h, arena_wire.size());
+  for (const auto b : arena_wire) digest.h = util::fnv1a64(digest.h, b);
+}
+
+void expect_verdicts(const VerdictDigest& d, std::size_t inputs,
+                     std::size_t accepted, std::uint64_t h) {
+  EXPECT_EQ(d.inputs, inputs);
+  EXPECT_EQ(d.accepted, accepted);
+  EXPECT_EQ(d.h, h) << std::hex << "verdict digest 0x" << d.h;
 }
 
 Name random_name(util::Rng& rng) {
@@ -139,6 +163,7 @@ Message random_message(util::Rng& rng) {
 
 TEST(DnswireFuzz, RandomMessagesRoundTripByteExactly) {
   util::Rng rng(0xD15EA5E);
+  VerdictDigest digest;
   for (int iter = 0; iter < 200; ++iter) {
     const Message msg = random_message(rng);
     const auto wire = dnswire::encode(msg);
@@ -154,24 +179,29 @@ TEST(DnswireFuzz, RandomMessagesRoundTripByteExactly) {
     // ...and byte identity through a second encode: decode loses
     // nothing the encoder can see.
     EXPECT_EQ(dnswire::encode(decoded.value()), wire) << "iteration " << iter;
-    expect_same_verdict(wire);
+    expect_same_verdict(wire, digest);
   }
+  expect_verdicts(digest, 200, 200, 0xbf5a97be1ebbf463);
 }
 
 TEST(DnswireFuzz, EveryTruncatedPrefixDecodesWithoutCrashing) {
   util::Rng rng(0xBADC0DE);
+  VerdictDigest digest;
   for (int iter = 0; iter < 50; ++iter) {
     const auto wire = dnswire::encode(random_message(rng));
     for (std::size_t len = 0; len < wire.size(); ++len) {
       // Must return (value or error), never crash or overread — and
       // both decoders must agree on which.
-      expect_same_verdict(std::span<const std::uint8_t>(wire.data(), len));
+      expect_same_verdict(std::span<const std::uint8_t>(wire.data(), len),
+                          digest);
     }
   }
+  expect_verdicts(digest, 14435, 0, 0x51594490c38d89c);
 }
 
 TEST(DnswireFuzz, RandomCorruptionDecodesWithoutCrashing) {
   util::Rng rng(0xFACADE);
+  VerdictDigest digest;
   for (int iter = 0; iter < 100; ++iter) {
     auto wire = dnswire::encode(random_message(rng));
     if (wire.empty()) continue;
@@ -183,19 +213,22 @@ TEST(DnswireFuzz, RandomCorruptionDecodesWithoutCrashing) {
     auto result = dnswire::decode(wire);
     // Whatever still decodes must re-encode without crashing either.
     if (result) (void)dnswire::encode(result.value());
-    expect_same_verdict(wire);
+    expect_same_verdict(wire, digest);
   }
+  expect_verdicts(digest, 100, 52, 0x683697ec5e0cd811);
 }
 
 TEST(DnswireFuzz, PureGarbageBuffersDecodeWithoutCrashing) {
   util::Rng rng(0x5EED);
+  VerdictDigest digest;
   for (int iter = 0; iter < 200; ++iter) {
     std::vector<std::uint8_t> junk(rng.uniform(0, 300));
     for (auto& b : junk) {
       b = static_cast<std::uint8_t>(rng.uniform(0, 255));
     }
-    expect_same_verdict(junk);
+    expect_same_verdict(junk, digest);
   }
+  expect_verdicts(digest, 200, 0, 0x7c36325fe82286aa);
 }
 
 }  // namespace
