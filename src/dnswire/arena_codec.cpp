@@ -20,17 +20,12 @@ constexpr std::uint8_t kPointerTag = 0xC0;
 constexpr std::size_t kMinQuestionWire = 5;
 constexpr std::size_t kMinRrWire = 11;
 
-constexpr char fold(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
 // ---------------------------------------------------------------------
 // Decoding
 //
-// A line-for-line transcription of codec.cpp's Decoder: same checks in
-// the same order, so both decoders return the same DecodeError for
-// every input (tests/dnswire_fuzz_test.cpp asserts verdict parity over
-// the full corpus).
+// The one DNS decoder: decode() materializes its output, so the census
+// nodes and every heap-model caller accept and reject exactly the same
+// inputs (tests/dnswire_fuzz_test.cpp pins the verdicts).
 // ---------------------------------------------------------------------
 
 class ArenaDecoder {
@@ -168,8 +163,7 @@ std::optional<DecodeError> decode_rr_into(ArenaDecoder& dec, RecordView& rr) {
     }
     case RrType::txt: {
       // Count complete character-strings first so the arena array is
-      // exact; the parsing pass below reproduces the heap decoder's
-      // error order on a malformed tail.
+      // exact; the parsing pass below reports a malformed tail.
       const auto wire = dec.wire();
       std::size_t strings = 0;
       for (std::size_t p = dec.pos(); p < rdata_end;) {
@@ -232,11 +226,9 @@ std::optional<DecodeError> decode_rr_into(ArenaDecoder& dec, RecordView& rr) {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// One recorded compression suffix: labels[start..] of some
-/// already-emitted name, at wire offset `offset`. The heap encoder
-/// keys its table by the case-folded dotted string of the suffix;
-/// entries are kept in insertion order and matched first-wins, which
-/// reproduces unordered_map::emplace (first insert wins) exactly.
+/// One recorded compression suffix: labels[start..count) of some
+/// already-emitted name, at wire offset `offset`. Entries are kept in
+/// insertion order and matched first-wins.
 struct SuffixEntry {
   const std::string_view* labels = nullptr;
   std::uint32_t start = 0;
@@ -244,44 +236,18 @@ struct SuffixEntry {
   std::uint16_t offset = 0;
 };
 
-/// Streams the case-folded dotted key ("www.example.com." one char at
-/// a time) of a label suffix. Comparing key streams — not labels —
-/// matches the heap encoder's string keys even when a label contains a
-/// literal '.' (["a.b"] and ["a","b"] share the key "a.b.").
-class KeyStream {
- public:
-  KeyStream(const std::string_view* labels, std::size_t start,
-            std::size_t count)
-      : labels_(labels), li_(start), count_(count) {}
-
-  int next() {
-    while (li_ < count_) {
-      const std::string_view l = labels_[li_];
-      if (ci_ < l.size()) return static_cast<unsigned char>(fold(l[ci_++]));
-      ++li_;
-      ci_ = 0;
-      return '.';
+/// Suffix equality label by label (length, then case-folded bytes), so
+/// ["a.b","c"] and ["a","b","c"] are different suffixes: a pointer to
+/// one never stands in for the other.
+bool suffix_equal(const SuffixEntry& e, const std::string_view* labels,
+                  std::size_t start, std::size_t count) {
+  if (e.count - e.start != count - start) return false;
+  for (std::size_t i = 0; i < count - start; ++i) {
+    if (!util::iequals_ascii(e.labels[e.start + i], labels[start + i])) {
+      return false;
     }
-    return -1;
   }
-
- private:
-  const std::string_view* labels_;
-  std::size_t li_;
-  std::size_t count_;
-  std::size_t ci_ = 0;
-};
-
-bool suffix_key_equal(const SuffixEntry& e, const std::string_view* labels,
-                      std::size_t start, std::size_t count) {
-  KeyStream a(e.labels, e.start, e.count);
-  KeyStream b(labels, start, count);
-  while (true) {
-    const int ca = a.next();
-    const int cb = b.next();
-    if (ca != cb) return false;
-    if (ca < 0) return true;
-  }
+  return true;
 }
 
 class ArenaEncoder {
@@ -318,7 +284,7 @@ class ArenaEncoder {
     for (std::size_t i = 0; i < count; ++i) {
       const SuffixEntry* found = nullptr;
       for (std::size_t e = 0; e < suffix_count_; ++e) {
-        if (suffix_key_equal(suffixes_[e], labels, i, count)) {
+        if (suffix_equal(suffixes_[e], labels, i, count)) {
           found = &suffixes_[e];
           break;
         }
@@ -385,8 +351,7 @@ void encode_rr_into(ArenaEncoder& enc, const RecordView& rr) {
       enc.u32(rr.rdata.soa->minimum);
       break;
     case RdataView::Tag::opt:
-      // A non-OPT record carrying OPT rdata emits nothing, like the
-      // heap encoder's unreachable visit branch.
+      // A non-OPT record carrying OPT rdata emits no rdata.
       break;
     case RdataView::Tag::raw:
       enc.bytes(rr.rdata.raw.data(), rr.rdata.raw.size());
@@ -428,16 +393,18 @@ std::size_t rr_bound(const RecordView& rr, std::size_t& label_slots) {
   return bound;
 }
 
-NameView name_view_of(WireArena& arena, const Name& name) {
+}  // namespace
+
+NameView view_of(WireArena& arena, const Name& name) {
   const auto& labels = name.labels();
   const auto out = arena.alloc_array<std::string_view>(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) out[i] = labels[i];
   return NameView{out};
 }
 
-RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
+RecordView view_of(WireArena& arena, const ResourceRecord& rr) {
   RecordView view;
-  view.name = name_view_of(arena, rr.name);
+  view.name = view_of(arena, rr.name);
   view.type = rr.type;
   view.klass = rr.klass;
   view.ttl = rr.ttl;
@@ -449,11 +416,11 @@ RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
           view.rdata.a_addr = rd.addr;
         } else if constexpr (std::is_same_v<T, NsRecord>) {
           view.rdata.tag = RdataView::Tag::name;
-          view.rdata.name = name_view_of(arena, rd.host);
+          view.rdata.name = view_of(arena, rd.host);
         } else if constexpr (std::is_same_v<T, CnameRecord> ||
                              std::is_same_v<T, PtrRecord>) {
           view.rdata.tag = RdataView::Tag::name;
-          view.rdata.name = name_view_of(arena, rd.target);
+          view.rdata.name = view_of(arena, rd.target);
         } else if constexpr (std::is_same_v<T, TxtRecord>) {
           view.rdata.tag = RdataView::Tag::txt;
           const auto out =
@@ -464,8 +431,8 @@ RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
           view.rdata.txt = out;
         } else if constexpr (std::is_same_v<T, SoaRecord>) {
           SoaView* soa = arena.alloc<SoaView>();
-          soa->mname = name_view_of(arena, rd.mname);
-          soa->rname = name_view_of(arena, rd.rname);
+          soa->mname = view_of(arena, rd.mname);
+          soa->rname = view_of(arena, rd.rname);
           soa->serial = rd.serial;
           soa->refresh = rd.refresh;
           soa->retry = rd.retry;
@@ -485,7 +452,7 @@ RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
   return view;
 }
 
-ResourceRecord materialize_rr(const RecordView& rr) {
+ResourceRecord materialize(const RecordView& rr) {
   ResourceRecord out;
   out.name = rr.name.to_name();
   out.type = rr.type;
@@ -535,8 +502,6 @@ ResourceRecord materialize_rr(const RecordView& rr) {
   }
   return out;
 }
-
-}  // namespace
 
 bool NameView::equals(const NameView& other) const {
   if (labels.size() != other.labels.size()) return false;
@@ -678,6 +643,16 @@ std::span<const std::uint8_t> encode_into(WireArena& arena,
   return out.first(enc.size());
 }
 
+MessageView make_response(const MessageView& query, Rcode rcode) {
+  MessageView resp;
+  resp.header.id = query.header.id;
+  resp.header.qr = true;
+  resp.header.rd = query.header.rd;
+  resp.header.rcode = rcode;
+  resp.questions = query.questions;
+  return resp;
+}
+
 Message materialize(const MessageView& msg) {
   Message out;
   out.header = msg.header;
@@ -690,14 +665,14 @@ Message materialize(const MessageView& msg) {
     out.questions.push_back(std::move(question));
   }
   out.answers.reserve(msg.answers.size());
-  for (const auto& rr : msg.answers) out.answers.push_back(materialize_rr(rr));
+  for (const auto& rr : msg.answers) out.answers.push_back(materialize(rr));
   out.authorities.reserve(msg.authorities.size());
   for (const auto& rr : msg.authorities) {
-    out.authorities.push_back(materialize_rr(rr));
+    out.authorities.push_back(materialize(rr));
   }
   out.additionals.reserve(msg.additionals.size());
   for (const auto& rr : msg.additionals) {
-    out.additionals.push_back(materialize_rr(rr));
+    out.additionals.push_back(materialize(rr));
   }
   return out;
 }
@@ -707,7 +682,7 @@ MessageView view_of(WireArena& arena, const Message& msg) {
   view.header = msg.header;
   const auto questions = arena.alloc_array<QuestionView>(msg.questions.size());
   for (std::size_t i = 0; i < msg.questions.size(); ++i) {
-    questions[i].name = name_view_of(arena, msg.questions[i].name);
+    questions[i].name = view_of(arena, msg.questions[i].name);
     questions[i].type = msg.questions[i].type;
     questions[i].klass = msg.questions[i].klass;
   }
@@ -715,7 +690,7 @@ MessageView view_of(WireArena& arena, const Message& msg) {
   auto section = [&](const std::vector<ResourceRecord>& rrs) {
     const auto out = arena.alloc_array<RecordView>(rrs.size());
     for (std::size_t i = 0; i < rrs.size(); ++i) {
-      out[i] = record_view_of(arena, rrs[i]);
+      out[i] = view_of(arena, rrs[i]);
     }
     return std::span<const RecordView>(out);
   };

@@ -1,15 +1,12 @@
 #pragma once
-// Arena wire codec: the zero-allocation sibling of codec.hpp.
-//
-// decode_into() parses a datagram into a MessageView — labels are
-// string_views into the wire buffer, record sections are arena-backed
-// spans, no per-RR vectors — and encode_into() serializes a
-// MessageView with the exact compression the heap encoder applies, so
-// the two codecs are byte-identical (tests/dnswire_differential_test
-// proves it over randomized corpora, tests/dnswire_fuzz_test proves
-// verdict parity on garbage). The heap codec stays as the differential
-// baseline; this one is what the serving hot path runs
-// (nodes::DnsNode).
+// The DNS wire codec. decode_into() parses a datagram into a
+// MessageView — labels are string_views into the wire buffer, record
+// sections are arena-backed spans, no per-RR vectors — and
+// encode_into() serializes a MessageView with name compression. It is
+// the only codec: the heap entry points in codec.hpp wrap it, and the
+// census packet path (DnsNode, ForwarderBank, CaptureVantage) runs it
+// without building a heap Message. tests/dnswire_differential_test.cpp
+// and tests/dnswire_fuzz_test.cpp pin its output and verdicts.
 //
 // Lifetime rules: every pointer inside a MessageView aims either at
 // the wire buffer passed to decode_into() or at the WireArena, so a
@@ -90,23 +87,30 @@ struct MessageView {
 };
 
 /// Parses `wire` into a view backed by `arena` + the wire buffer.
-/// Accepts exactly the inputs decode() accepts and returns the same
-/// DecodeError on everything it rejects.
 util::Result<MessageView, DecodeError> decode_into(
     WireArena& arena, std::span<const std::uint8_t> wire);
 
-/// Serializes `msg` into `arena`, byte-identical to encode() on the
-/// materialized message. The returned span lives until arena reset.
+/// Serializes `msg` into `arena`. Compression pointers reuse earlier
+/// suffixes with the same labels up to ASCII case, first occurrence
+/// wins. The returned span lives until arena reset.
 std::span<const std::uint8_t> encode_into(WireArena& arena,
                                           const MessageView& msg);
 
-/// Owning copy of a view (allocates; the differential harness and the
-/// heap-model fallback path use it).
-Message materialize(const MessageView& msg);
+/// make_response() on views: a response skeleton echoing the query's
+/// ID, RD bit and questions (borrowed from `query`).
+MessageView make_response(const MessageView& query,
+                          Rcode rcode = Rcode::noerror);
 
-/// A view over an existing heap Message: labels/spans reference the
-/// Message's own storage plus `arena` for the section arrays. Valid
-/// while both the Message and the arena epoch live.
+/// Owning copies of views (allocate; decode() and the nodes' heap-model
+/// fallback and caches use them).
+Message materialize(const MessageView& msg);
+ResourceRecord materialize(const RecordView& rr);
+
+/// Views over existing heap objects: labels/spans reference the
+/// object's own storage plus `arena` for the arrays. Valid while both
+/// the object and the arena epoch live.
 MessageView view_of(WireArena& arena, const Message& msg);
+RecordView view_of(WireArena& arena, const ResourceRecord& rr);
+NameView view_of(WireArena& arena, const Name& name);
 
 }  // namespace odns::dnswire

@@ -1,8 +1,11 @@
 #pragma once
-// DNS wire codec (RFC 1035 §4). Encoding applies name compression to
-// every owner name and to names inside NS/CNAME/PTR/SOA rdata.
-// Decoding is fully bounds-checked: malformed input yields an error,
-// never UB — DNS parsers face attacker-controlled bytes.
+// DNS wire codec (RFC 1035 §4), heap-model entry points. Encoding
+// applies name compression to every owner name and to names inside
+// NS/CNAME/PTR/SOA rdata. Decoding is fully bounds-checked: malformed
+// input yields an error, never UB — DNS parsers face attacker-controlled
+// bytes. Both are thin wrappers over the one codec in arena_codec.hpp
+// (decode = materialize(decode_into), encode = encode_into(view_of)),
+// for cold paths and tests; hot paths call the arena codec directly.
 
 #include <cstdint>
 #include <span>

@@ -3,12 +3,17 @@
 // case-insensitive (RFC 1035 §2.3.3); presentation parsing enforces the
 // 63-octet label and 255-octet name limits.
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "dnswire/types.hpp"
 
 namespace odns::dnswire {
 
@@ -55,6 +60,51 @@ class Name {
 
  private:
   std::vector<std::string> labels_;
+};
+
+/// A (name, type) map key built without the heap: the lower-cased,
+/// uncompressed wire form of the name (length-prefixed labels, then the
+/// root's zero octet) followed by the type's two octets. Any label
+/// container works — a Name's strings, a decoded NameView's views —
+/// and `first` skips leading labels, so an ancestor's key needs no new
+/// Name. Equal keys mean the same label sequence up to ASCII case:
+/// ["a.b","c"] and ["a","b","c"] differ in their length octets.
+class NameKey {
+ public:
+  template <typename Labels>
+  NameKey(const Labels& labels, RrType type, std::size_t first = 0) {
+    for (std::size_t i = first; i < std::size(labels); ++i) {
+      const std::string_view label = labels[i];
+      if (size_ + 1 + label.size() + 3 > buf_.size()) {
+        throw std::length_error("NameKey: name longer than 255 octets");
+      }
+      buf_[size_++] = static_cast<char>(label.size());
+      for (const char c : label) {
+        buf_[size_++] =
+            (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+      }
+    }
+    const auto t = static_cast<std::uint16_t>(type);
+    buf_[size_++] = 0;
+    buf_[size_++] = static_cast<char>(t >> 8);
+    buf_[size_++] = static_cast<char>(t & 0xFF);
+  }
+
+  [[nodiscard]] std::string_view bytes() const { return {buf_.data(), size_}; }
+
+ private:
+  std::array<char, 258> buf_;
+  std::size_t size_ = 0;
+};
+
+/// Transparent hash for maps keyed by NameKey bytes held in a
+/// std::string: find() takes the key's string_view, so a lookup never
+/// allocates. Pair it with std::equal_to<>.
+struct NameKeyHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view bytes) const noexcept {
+    return std::hash<std::string_view>{}(bytes);
+  }
 };
 
 }  // namespace odns::dnswire

@@ -78,6 +78,11 @@ struct Simulator::Shard final : private PacketSink {
   ShardStats stats;
   std::vector<SpscMailbox> inbox;  // indexed by source shard
   std::vector<Datagram> batch_dgrams;  // deliver_batch scratch
+  /// Recycled UDP payload buffers: a span send_udp fills one, and a
+  /// delivered or dropped packet hands its buffer back, so a warmed
+  /// shard sends without touching the heap. A buffer freed on another
+  /// shard than it was filled on joins that shard's pool.
+  std::vector<std::vector<std::uint8_t>> payload_pool;
 };
 
 }  // namespace odns::netsim

@@ -300,8 +300,51 @@ bool Simulator::loss_drop(Asn origin_as, const Packet& pkt,
   return (h >> 11) < threshold;
 }
 
+namespace {
+// Pool bounds: DNS payloads stay far below the buffer cap, and the
+// pool only needs to cover one shard's packets in flight.
+constexpr std::size_t kMinPayloadCapacity = 256;
+constexpr std::size_t kMaxPooledPayload = 4096;
+constexpr std::size_t kMaxPooledBuffers = 8192;
+}  // namespace
+
+void Simulator::recycle_payload(Shard& sh, Packet& pkt) {
+  const std::size_t cap = pkt.payload.capacity();
+  if (cap == 0 || cap > kMaxPooledPayload ||
+      sh.payload_pool.size() >= kMaxPooledBuffers) {
+    return;
+  }
+  pkt.payload.clear();
+  sh.payload_pool.push_back(std::move(pkt.payload));
+}
+
 void Simulator::send_udp(HostId from, SendOptions opts) {
+  send_on(*shards_[shard_of(from)], from, std::move(opts));
+}
+
+std::vector<std::uint8_t> Simulator::pooled_copy(
+    Shard& sh, std::span<const std::uint8_t> bytes) {
+  std::vector<std::uint8_t> out;
+  if (!sh.payload_pool.empty()) {
+    out = std::move(sh.payload_pool.back());
+    sh.payload_pool.pop_back();
+  } else {
+    // Fresh buffers fit any census message, so a recycled query buffer
+    // never has to grow for the larger response it carries next.
+    out.reserve(std::max(bytes.size(), kMinPayloadCapacity));
+  }
+  out.assign(bytes.begin(), bytes.end());
+  return out;
+}
+
+void Simulator::send_udp(HostId from, SendOptions opts,
+                         std::span<const std::uint8_t> payload) {
   Shard& sh = *shards_[shard_of(from)];
+  opts.payload = pooled_copy(sh, payload);
+  send_on(sh, from, std::move(opts));
+}
+
+void Simulator::send_on(Shard& sh, HostId from, SendOptions&& opts) {
   // From inside a handler, sends must originate on the shard that owns
   // the sending host (apps always do — they run there).
   assert(tl_owner_ != this || tl_shard_ == nullptr || tl_shard_ == &sh);
@@ -410,6 +453,7 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
         !Network::owns_source(*info, pkt.src)) {
       ++sh.counters.dropped_sav;
       emit(sh, TapEvent::dropped_sav, pkt);
+      recycle_payload(sh, pkt);
       return;
     }
   }
@@ -425,11 +469,13 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
   if (!from_router && faults_.active() && faults_.in_outage(origin_as, at_now)) {
     ++sh.counters.dropped_outage;
     emit(sh, TapEvent::dropped_outage, pkt);
+    recycle_payload(sh, pkt);
     return;
   }
   if (cfg_.loss_rate > 0.0 && loss_drop(origin_as, pkt, at_now)) {
     ++sh.counters.dropped_loss;
     emit(sh, TapEvent::dropped_loss, pkt);
+    recycle_payload(sh, pkt);
     return;
   }
 
@@ -463,6 +509,7 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
   if (!route) {
     ++sh.counters.dropped_no_route;
     emit(sh, TapEvent::dropped_no_route, pkt);
+    recycle_payload(sh, pkt);
     return;
   }
 
@@ -506,7 +553,9 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
         schedule_icmp_on(sh, single_shard() ? 0 : shard_of_as(dst_as),
                          deliver_at, IcmpType::host_unreachable,
                          std::move(pkt), dark_router, dst_as);
+        return;
       }
+      recycle_payload(sh, pkt);
       return;
     }
     const FaultSkew skew = faults_.delivery_skew(pkt, at_now);
@@ -546,8 +595,18 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
   if (dup) {
     // The copy lands one hop latency after the (possibly corrupted)
     // original — duplication happens on the wire, so both carry the
-    // same bytes.
-    Packet copy = pkt;
+    // same bytes. Copied field by field so the payload comes from the
+    // pool.
+    Packet copy;
+    copy.src = pkt.src;
+    copy.dst = pkt.dst;
+    copy.ttl = pkt.ttl;
+    copy.proto = pkt.proto;
+    copy.src_port = pkt.src_port;
+    copy.dst_port = pkt.dst_port;
+    copy.icmp_type = pkt.icmp_type;
+    copy.icmp_quote = pkt.icmp_quote;
+    copy.payload = pooled_copy(sh, pkt.payload);
     schedule_deliver_on(sh, dst_shard, deliver_at + cfg_.hop_latency,
                         std::move(copy), dst_host);
   }
@@ -589,6 +648,7 @@ void Simulator::deliver(Shard& sh, Packet pkt, HostId host) {
         // was sent to); forwarding stops. This is the behaviour
         // DNSRoute++ keys on to locate the forwarder on the path.
         send_icmp(sh, IcmpType::ttl_exceeded, pkt.dst, pkt, h.asn);
+        recycle_payload(sh, pkt);
         return;
       }
       ++*relay_count;
@@ -612,6 +672,7 @@ void Simulator::deliver(Shard& sh, Packet pkt, HostId host) {
   }
   if (app == nullptr) {
     send_icmp(sh, IcmpType::port_unreachable, pkt.dst, pkt, h.asn);
+    recycle_payload(sh, pkt);
     return;
   }
 
@@ -623,6 +684,7 @@ void Simulator::deliver(Shard& sh, Packet pkt, HostId host) {
   dgram.ttl = pkt.ttl;
   dgram.payload = &pkt.payload;
   app->on_datagram(dgram);
+  recycle_payload(sh, pkt);
 }
 
 App* Simulator::batchable_app(const Packet& pkt, HostId host) {
@@ -673,6 +735,7 @@ void Simulator::deliver_batch(Shard& sh, std::span<DeliverItem> items) {
       ++j;
     }
     app->on_batch(std::span<const Datagram>(sh.batch_dgrams));
+    for (std::size_t k = i; k < j; ++k) recycle_payload(sh, items[k].pkt);
     i = j;
   }
 }

@@ -28,6 +28,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -298,6 +299,11 @@ class Simulator {
   /// host's first address. From inside a handler, must be called on
   /// the shard that owns `from` (apps always are).
   void send_udp(HostId from, SendOptions opts);
+  /// As above with the payload copied from `payload` into a buffer
+  /// recycled on the sending shard (opts.payload is ignored): the
+  /// allocation-free send for callers that encode into an arena.
+  void send_udp(HostId from, SendOptions opts,
+                std::span<const std::uint8_t> payload);
 
   /// External taps are invoked synchronously on the emitting shard's
   /// thread; they are supported on single-shard simulators (the
@@ -430,6 +436,13 @@ class Simulator {
   /// Injects a packet into the network from `origin_as` on shard `sh`
   /// (which must own the origin). `from_router` marks infrastructure-
   /// originated traffic (ICMP), which is exempt from SAV.
+  void send_on(Shard& sh, HostId from, SendOptions&& opts);
+  /// Returns `pkt`'s payload buffer to `sh`'s pool (see
+  /// Shard::payload_pool).
+  static void recycle_payload(Shard& sh, Packet& pkt);
+  /// `bytes` in a buffer taken from `sh`'s pool (fresh when empty).
+  static std::vector<std::uint8_t> pooled_copy(
+      Shard& sh, std::span<const std::uint8_t> bytes);
   void inject(Shard& sh, Packet pkt, Asn origin_as, bool from_router);
   void deliver(Shard& sh, Packet pkt, HostId host);
   /// Batch delivery: processes a cohort run, grouping consecutive same-(host, port) UDP packets into one

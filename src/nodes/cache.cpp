@@ -4,10 +4,7 @@
 
 namespace odns::nodes {
 
-std::string DnsCache::key(const dnswire::Name& name, dnswire::RrType type) {
-  return name.canonical() + "/" +
-         std::to_string(static_cast<std::uint16_t>(type));
-}
+using dnswire::NameKey;
 
 void DnsCache::put(const dnswire::Name& name, dnswire::RrType type,
                    const std::vector<dnswire::ResourceRecord>& records,
@@ -25,7 +22,8 @@ void DnsCache::put(const dnswire::Name& name, dnswire::RrType type,
   e.records = records;
   e.expiry = now + util::Duration::seconds(ttl);
   e.original_ttl = ttl;
-  entries_[key(name, type)] = std::move(e);
+  entries_.insert_or_assign(std::string(NameKey(name.labels(), type).bytes()),
+                            std::move(e));
   ++stats_.inserts;
 }
 
@@ -37,14 +35,14 @@ void DnsCache::put_negative(const dnswire::Name& name, dnswire::RrType type,
   e.rcode = rcode;
   e.expiry = now + util::Duration::seconds(std::min(ttl, max_ttl_));
   e.original_ttl = ttl;
-  entries_[key(name, type)] = std::move(e);
+  entries_.insert_or_assign(std::string(NameKey(name.labels(), type).bytes()),
+                            std::move(e));
   ++stats_.inserts;
 }
 
-std::optional<CachedAnswer> DnsCache::get(const dnswire::Name& name,
-                                          dnswire::RrType type,
-                                          util::SimTime now) {
-  auto it = entries_.find(key(name, type));
+std::optional<DnsCache::Hit> DnsCache::find(const NameKey& key,
+                                            util::SimTime now) {
+  auto it = entries_.find(key.bytes());
   if (it == entries_.end()) {
     ++stats_.misses;
     return std::nullopt;
@@ -54,19 +52,45 @@ std::optional<CachedAnswer> DnsCache::get(const dnswire::Name& name,
     ++stats_.misses;
     return std::nullopt;
   }
-  const auto& e = it->second;
-  CachedAnswer out;
-  out.negative = e.negative;
-  out.rcode = e.rcode;
+  const Entry& e = it->second;
+  Hit hit;
+  hit.records = &e.records;
+  hit.negative = e.negative;
+  hit.rcode = e.rcode;
   const auto remaining =
       static_cast<std::uint32_t>((e.expiry - now).as_seconds());
-  out.remaining_ttl = std::max<std::uint32_t>(remaining, 1);
+  hit.remaining_ttl = std::max<std::uint32_t>(remaining, 1);
   if (e.negative) {
     ++stats_.negative_hits;
   } else {
-    out.records = e.records;
-    for (auto& rr : out.records) rr.ttl = out.remaining_ttl;
     ++stats_.hits;
+  }
+  return hit;
+}
+
+std::span<const dnswire::RecordView> DnsCache::Hit::answer_views(
+    dnswire::WireArena& arena) const {
+  if (negative) return {};
+  const auto out = arena.alloc_array<dnswire::RecordView>(records->size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = dnswire::view_of(arena, (*records)[i]);
+    out[i].ttl = remaining_ttl;
+  }
+  return out;
+}
+
+std::optional<CachedAnswer> DnsCache::get(const dnswire::Name& name,
+                                          dnswire::RrType type,
+                                          util::SimTime now) {
+  const auto hit = find(NameKey(name.labels(), type), now);
+  if (!hit) return std::nullopt;
+  CachedAnswer out;
+  out.negative = hit->negative;
+  out.rcode = hit->rcode;
+  out.remaining_ttl = hit->remaining_ttl;
+  if (!hit->negative) {
+    out.records = *hit->records;
+    for (auto& rr : out.records) rr.ttl = out.remaining_ttl;
   }
   return out;
 }

@@ -4,12 +4,16 @@
 // feed the paper's Table 2 (method cost comparison).
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "dnswire/arena.hpp"
+#include "dnswire/arena_codec.hpp"
 #include "dnswire/message.hpp"
+#include "dnswire/name.hpp"
 #include "util/time.hpp"
 
 namespace odns::nodes {
@@ -53,6 +57,24 @@ class DnsCache {
   std::optional<CachedAnswer> get(const dnswire::Name& name,
                                   dnswire::RrType type, util::SimTime now);
 
+  /// A hit that borrows the cached record set (TTLs as stored) instead
+  /// of copying it. Valid until the next put/put_negative/clear.
+  struct Hit {
+    const std::vector<dnswire::ResourceRecord>* records = nullptr;
+    bool negative = false;
+    dnswire::Rcode rcode = dnswire::Rcode::noerror;
+    std::uint32_t remaining_ttl = 0;
+
+    /// The record set as views in `arena`, each TTL set to the decayed
+    /// remainder (empty for a negative entry).
+    [[nodiscard]] std::span<const dnswire::RecordView> answer_views(
+        dnswire::WireArena& arena) const;
+  };
+  /// get() without the copy, keyed by a NameKey — a decoded view's
+  /// labels or an ancestor suffix look entries up without allocating.
+  /// Counts hits and misses exactly like get().
+  std::optional<Hit> find(const dnswire::NameKey& key, util::SimTime now);
+
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   void clear() { entries_.clear(); }
@@ -66,11 +88,14 @@ class DnsCache {
     std::uint32_t original_ttl = 0;
   };
 
-  static std::string key(const dnswire::Name& name, dnswire::RrType type);
-
   std::uint32_t max_ttl_;
   std::size_t max_entries_;
-  std::unordered_map<std::string, Entry> entries_;
+  /// Keyed by NameKey bytes (lower-cased wire name + type): equal keys
+  /// are equal label sequences, so a hash collision or a label holding
+  /// a literal '.' cannot make two names share an entry.
+  std::unordered_map<std::string, Entry, dnswire::NameKeyHash,
+                     std::equal_to<>>
+      entries_;
   CacheStats stats_;
 };
 

@@ -25,9 +25,8 @@ void DnsNode::on_datagram(const netsim::Datagram& dgram) {
 void DnsNode::send_message(util::Ipv4 dst, std::uint16_t src_port,
                            std::uint16_t dst_port, const dnswire::Message& msg,
                            std::optional<util::Ipv4> src_override) {
-  // The arena encoder is byte-identical to dnswire::encode(msg)
-  // (tests/dnswire_differential_test.cpp); view_of borrows the
-  // Message's own label storage, so nothing is copied on the way in.
+  // view_of borrows the Message's own label storage, so nothing is
+  // copied on the way in.
   tx_arena_.reset();
   send_encoded(dst, src_port, dst_port, dnswire::view_of(tx_arena_, msg),
                src_override);
@@ -48,15 +47,13 @@ void DnsNode::send_encoded(util::Ipv4 dst, std::uint16_t src_port,
   opts.dst = dst;
   opts.src_port = src_port;
   opts.dst_port = dst_port;
-  const auto wire = dnswire::encode_into(tx_arena_, msg);
-  opts.payload.assign(wire.begin(), wire.end());
   opts.spoof_src = src_override;
   if (msg.header.qr) {
     ++counters_.responses_out;
   } else {
     ++counters_.queries_out;
   }
-  sim_->send_udp(host_, std::move(opts));
+  sim_->send_udp(host_, std::move(opts), dnswire::encode_into(tx_arena_, msg));
 }
 
 void DnsNode::reply(const netsim::Datagram& dgram, const dnswire::Message& msg,

@@ -60,9 +60,13 @@ class DnsNode : public netsim::App {
   }
 
   /// Heap-model dispatch target; `msg` is the successfully parsed
-  /// payload, owned by the callee.
+  /// payload, owned by the callee. Default: ignore (for nodes that
+  /// consume every message on the view path).
   virtual void on_message(const netsim::Datagram& dgram,
-                          dnswire::Message msg) = 0;
+                          dnswire::Message msg) {
+    (void)dgram;
+    (void)msg;
+  }
 
   netsim::Simulator& sim() { return *sim_; }
 
@@ -88,7 +92,8 @@ class DnsNode : public netsim::App {
 
   /// Scratch arena for building reply views inside on_message_view
   /// (reset at every datagram entry, after the rx view is dead — do
-  /// not hold rx-backed views across messages).
+  /// not hold rx-backed views across messages). A timer handler may
+  /// reset it too: no view is live there.
   dnswire::WireArena& scratch_arena() { return scratch_arena_; }
 
   NodeCounters counters_;

@@ -3,7 +3,10 @@
 //
 // RecursiveForwarder: an application-level relay. It replaces the
 // client's source address with its own, so responses flow back through
-// it — it can cache and (mis)behave like a middlebox.
+// it — it can cache and (mis)behave like a middlebox. It relays on
+// decoded views, like ForwarderBank: the upstream answer goes back
+// under the client's ID, with rewrite / strip applied to an arena copy
+// of its answers.
 //
 // TransparentForwarder: an IP-level relay that preserves the client's
 // source address. The response bypasses it entirely. It is implemented
@@ -49,7 +52,8 @@ class RecursiveForwarder : public DnsNode {
   [[nodiscard]] const DnsCache& cache() const { return cache_; }
 
  protected:
-  void on_message(const netsim::Datagram& dgram, dnswire::Message msg) override;
+  bool on_message_view(const netsim::Datagram& dgram,
+                       const dnswire::MessageView& msg) override;
 
  private:
   struct Pending {
@@ -61,10 +65,10 @@ class RecursiveForwarder : public DnsNode {
     util::SimTime deadline;
   };
 
-  void handle_query(const netsim::Datagram& dgram, const dnswire::Message& msg);
+  void handle_query(const netsim::Datagram& dgram,
+                    const dnswire::MessageView& msg);
   void handle_response(const netsim::Datagram& dgram,
-                       const dnswire::Message& msg);
-  void deliver_response(const Pending& p, dnswire::Message resp);
+                       const dnswire::MessageView& msg);
 
   static std::uint32_t key(std::uint16_t port, std::uint16_t txid) {
     return (std::uint32_t{port} << 16) | txid;
@@ -77,6 +81,16 @@ class RecursiveForwarder : public DnsNode {
   std::uint16_t next_port_ = 32768;
   std::uint16_t next_txid_ = 1;
 };
+
+/// The answer a recursive forwarder relays: the upstream response
+/// itself under the client's ID, with the middlebox knobs applied to an
+/// arena copy of its answers — `rewrite_target` (when set) replaces
+/// every A record's address, `strip` keeps only the first answer.
+dnswire::MessageView relayed_answer(dnswire::WireArena& arena,
+                                    const dnswire::MessageView& upstream,
+                                    std::uint16_t client_id,
+                                    std::optional<util::Ipv4> rewrite_target,
+                                    bool strip);
 
 /// Bookkeeping wrapper around the netsim transparent-redirect rule.
 class TransparentForwarder {

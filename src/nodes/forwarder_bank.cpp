@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <cassert>
 
-#include "dnswire/codec.hpp"
 #include "nodes/dns_node.hpp"
 
 namespace odns::nodes {
 
-using dnswire::ARecord;
-using dnswire::Message;
-using dnswire::Rcode;
+using dnswire::MessageView;
+using dnswire::QuestionView;
 
 namespace {
 constexpr std::uint8_t kRewrite = 1;
@@ -60,10 +58,11 @@ std::size_t ForwarderBank::member_of(util::Ipv4 addr) const {
 
 void ForwarderBank::on_datagram(const netsim::Datagram& dgram) {
   assert(sealed_);
-  const auto parsed =
-      dnswire::decode(std::span<const std::uint8_t>(*dgram.payload));
+  arena_.reset();
+  const auto parsed = dnswire::decode_into(
+      arena_, std::span<const std::uint8_t>(*dgram.payload));
   if (!parsed) return;
-  const Message& msg = parsed.value();
+  const MessageView& msg = parsed.value();
   if (dgram.dst_port == kDnsPort && !msg.header.qr) {
     const std::size_t member = member_of(dgram.dst);
     if (member == addr_.size()) return;  // not a member address
@@ -74,10 +73,9 @@ void ForwarderBank::on_datagram(const netsim::Datagram& dgram) {
 }
 
 void ForwarderBank::handle_query(const netsim::Datagram& dgram,
-                                 std::size_t member, const Message& msg) {
+                                 std::size_t member, const MessageView& msg) {
   ++stats_.client_queries;
   if (msg.questions.size() != 1) return;  // banks don't answer formerr
-  const auto& q = msg.questions.front();
 
   // Index-derived upstream tuple: member m's queries always use ports
   // kPortBase + (m*256+seq) % 32768 and txids 1 + (m*256+seq) / 32768,
@@ -88,73 +86,131 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
   const auto port = static_cast<std::uint16_t>(kPortBase + g % kPortSpan);
   const auto txid = static_cast<std::uint16_t>(1 + (g / kPortSpan) % 65535);
 
-  if (pending_.size() >= sweep_at_) sweep_expired();
-  Pending& p = pending_[g];
+  if (pending_count_ >= sweep_at_) sweep_expired();
+  Pending& p = insert_slot(g);
   p.client = dgram.src;
   p.client_port = dgram.src_port;
   p.client_txid = msg.header.id;
   p.member = static_cast<std::uint32_t>(member);
   p.deadline = sim_->now() + upstream_timeout_;
-  peak_pending_ = std::max(peak_pending_, pending_.size());
+  peak_pending_ = std::max(peak_pending_, pending_count_);
   ++stats_.forwarded;
 
+  // The upstream query is a standard recursive query for the client's
+  // question (class IN), under the member's tuple.
+  const auto question = arena_.alloc_array<QuestionView>(1);
+  question[0].name = msg.questions.front().name;
+  question[0].type = msg.questions.front().type;
+  MessageView query;
+  query.header.id = txid;
+  query.header.rd = true;
+  query.questions = question;
   netsim::SendOptions opts;
   opts.dst = upstream_[member];
   opts.src_port = port;
   opts.dst_port = kDnsPort;
-  opts.payload = dnswire::encode(dnswire::make_query(txid, q.name, q.type));
-  sim_->send_udp(host_[member], std::move(opts));
+  sim_->send_udp(host_[member], std::move(opts),
+                 dnswire::encode_into(arena_, query));
 }
 
 void ForwarderBank::handle_response(const netsim::Datagram& dgram,
-                                    const Message& msg) {
+                                    const MessageView& msg) {
   // Invert the tuple derivation to recover the pending key directly.
   if (dgram.dst_port < kPortBase || msg.header.id == 0) return;
   const std::uint32_t g =
       static_cast<std::uint32_t>(msg.header.id - 1) * kPortSpan +
       (dgram.dst_port - kPortBase);
-  auto it = pending_.find(g);
-  if (it == pending_.end()) return;
-  const Pending p = it->second;
-  pending_.erase(it);
+  const std::size_t slot = find_slot(g);
+  if (slot == pending_.size()) return;
+  const Pending p = pending_[slot];
+  erase_slot(slot);
   ++stats_.upstream_responses;
   if (sim_->now() > p.deadline) {
     ++stats_.expired;
     return;
   }
 
-  Message resp = msg;
-  resp.header.id = p.client_txid;
   const std::uint8_t flags = flags_[p.member];
-  if ((flags & kRewrite) != 0) {
-    for (auto& rr : resp.answers) {
-      if (std::get_if<ARecord>(&rr.rdata) != nullptr) {
-        rr.rdata = ARecord{rewrite_target_[p.member]};
-      }
-    }
-  }
-  if ((flags & kStrip) != 0 && resp.answers.size() > 1) {
-    resp.answers.resize(1);
-  }
+  const auto rewrite =
+      (flags & kRewrite) != 0
+          ? std::optional<util::Ipv4>(rewrite_target_[p.member])
+          : std::nullopt;
+  const MessageView resp = relayed_answer(arena_, msg, p.client_txid, rewrite,
+                                          (flags & kStrip) != 0);
   netsim::SendOptions opts;
   opts.dst = p.client;
   opts.src_port = kDnsPort;
   opts.dst_port = p.client_port;
-  opts.payload = dnswire::encode(resp);
-  sim_->send_udp(host_[p.member], std::move(opts));
+  sim_->send_udp(host_[p.member], std::move(opts),
+                 dnswire::encode_into(arena_, resp));
 }
 
 void ForwarderBank::sweep_expired() {
   const util::SimTime now = sim_->now();
-  for (auto it = pending_.begin(); it != pending_.end();) {
-    if (now > it->second.deadline) {
+  for (std::size_t slot = 0; slot < pending_.size();) {
+    // Backward-shift deletion refills `slot` only from later probe
+    // positions, so re-examining it before moving on visits every
+    // entry.
+    if (pending_[slot].g != kFree && now > pending_[slot].deadline) {
       ++stats_.expired;
-      it = pending_.erase(it);
+      erase_slot(slot);
     } else {
-      ++it;
+      ++slot;
     }
   }
-  sweep_at_ = std::max<std::size_t>(64, pending_.size() * 2);
+  sweep_at_ = std::max<std::size_t>(64, pending_count_ * 2);
+}
+
+std::size_t ForwarderBank::home_of(std::uint32_t g) const {
+  // Fibonacci hashing onto the power-of-two table.
+  return static_cast<std::size_t>((g * 0x9E3779B97F4A7C15ull) >> 32) &
+         (pending_.size() - 1);
+}
+
+std::size_t ForwarderBank::find_slot(std::uint32_t g) const {
+  if (pending_.empty()) return 0;
+  for (std::size_t slot = home_of(g);;
+       slot = (slot + 1) & (pending_.size() - 1)) {
+    if (pending_[slot].g == g) return slot;
+    if (pending_[slot].g == kFree) return pending_.size();
+  }
+}
+
+ForwarderBank::Pending& ForwarderBank::insert_slot(std::uint32_t g) {
+  if ((pending_count_ + 1) * 2 > pending_.size()) {
+    // Grow at half load: rehash every live entry into a table twice as
+    // large (the only allocation on this path).
+    std::vector<Pending> old(std::max<std::size_t>(64, pending_.size() * 2));
+    old.swap(pending_);
+    pending_count_ = 0;
+    for (const Pending& p : old) {
+      if (p.g != kFree) insert_slot(p.g) = p;
+    }
+  }
+  std::size_t slot = home_of(g);
+  while (pending_[slot].g != kFree && pending_[slot].g != g) {
+    slot = (slot + 1) & (pending_.size() - 1);
+  }
+  if (pending_[slot].g == kFree) ++pending_count_;
+  pending_[slot].g = g;
+  return pending_[slot];
+}
+
+void ForwarderBank::erase_slot(std::size_t slot) {
+  const std::size_t mask = pending_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t next = (hole + 1) & mask; pending_[next].g != kFree;
+       next = (next + 1) & mask) {
+    // An entry may fill the hole only if the hole lies on its probe
+    // path, i.e. between its home slot and its current slot.
+    const std::size_t home = home_of(pending_[next].g);
+    if (((next - home) & mask) >= ((next - hole) & mask)) {
+      pending_[hole] = pending_[next];
+      hole = next;
+    }
+  }
+  pending_[hole] = Pending{};
+  --pending_count_;
 }
 
 }  // namespace odns::nodes

@@ -18,12 +18,19 @@
 // derived from the member index alone, so the packet bytes are
 // independent of cross-member event interleaving and byte-identical
 // for every shard count.
+//
+// Packet path: every datagram is decoded into one WireArena as a
+// MessageView, and both relays encode a view into the same arena — the
+// upstream query is the client's question under the member's tuple,
+// the answer is the upstream response itself under the client's ID,
+// with rewrite / strip applied to an arena copy of its answers. No
+// heap Message is built and, once warmed, nothing is allocated.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
-#include "dnswire/message.hpp"
+#include "dnswire/arena.hpp"
+#include "dnswire/arena_codec.hpp"
 #include "netsim/sim.hpp"
 #include "nodes/forwarder.hpp"
 
@@ -55,7 +62,7 @@ class ForwarderBank final : public netsim::App {
   [[nodiscard]] const ForwarderStats& stats() const { return stats_; }
   /// Current in-flight upstream queries (bounded by the probe window,
   /// not the member count: entries die on response or expiry sweep).
-  [[nodiscard]] std::size_t pending() const { return pending_.size(); }
+  [[nodiscard]] std::size_t pending() const { return pending_count_; }
   [[nodiscard]] std::size_t peak_pending() const { return peak_pending_; }
 
  private:
@@ -66,20 +73,32 @@ class ForwarderBank final : public netsim::App {
     return member * 256u + seq;
   }
 
+  static constexpr std::uint32_t kFree = 0xFFFFFFFFu;
+
+  /// One in-flight upstream query, keyed by its tuple index g.
   struct Pending {
-    util::Ipv4 client;
-    util::SimTime deadline;
+    std::uint32_t g = kFree;
     std::uint32_t member = 0;
+    util::Ipv4 client;
     std::uint16_t client_port = 0;
     std::uint16_t client_txid = 0;
+    util::SimTime deadline;
   };
 
   [[nodiscard]] std::size_t member_of(util::Ipv4 addr) const;
   void handle_query(const netsim::Datagram& dgram, std::size_t member,
-                    const dnswire::Message& msg);
+                    const dnswire::MessageView& msg);
   void handle_response(const netsim::Datagram& dgram,
-                       const dnswire::Message& msg);
+                       const dnswire::MessageView& msg);
   void sweep_expired();
+
+  // The pending table: open addressing over g with linear probing and
+  // backward-shift deletion, so entries live in one flat array (no
+  // per-query node) sized by the in-flight window, not the members.
+  [[nodiscard]] std::size_t home_of(std::uint32_t g) const;
+  [[nodiscard]] std::size_t find_slot(std::uint32_t g) const;
+  Pending& insert_slot(std::uint32_t g);
+  void erase_slot(std::size_t slot);
 
   netsim::Simulator* sim_;
   util::Duration upstream_timeout_;
@@ -95,8 +114,10 @@ class ForwarderBank final : public netsim::App {
   std::vector<std::uint32_t> by_addr_;
   bool sealed_ = false;
 
-  std::unordered_map<std::uint32_t, Pending> pending_;
+  std::vector<Pending> pending_;  // power-of-two capacity
+  std::size_t pending_count_ = 0;
   std::size_t sweep_at_ = 64;
+  dnswire::WireArena arena_;  // decode + encode, reset per datagram
   std::size_t peak_pending_ = 0;
   ForwarderStats stats_;
 };

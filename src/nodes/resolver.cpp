@@ -6,29 +6,38 @@ namespace odns::nodes {
 
 using dnswire::ARecord;
 using dnswire::CnameRecord;
-using dnswire::Message;
+using dnswire::MessageView;
 using dnswire::Name;
+using dnswire::NameKey;
 using dnswire::NsRecord;
+using dnswire::QuestionView;
 using dnswire::Rcode;
+using dnswire::RdataView;
+using dnswire::RecordView;
 using dnswire::ResourceRecord;
 using dnswire::RrType;
-using dnswire::SoaRecord;
 
 namespace {
 
-std::string question_key(const dnswire::Question& q) {
-  return q.name.canonical() + "/" +
-         std::to_string(static_cast<std::uint16_t>(q.type));
-}
-
 /// Negative TTL from the SOA in the authority section (RFC 2308).
-std::uint32_t negative_ttl_of(const Message& msg) {
+std::uint32_t negative_ttl_of(const MessageView& msg) {
   for (const auto& rr : msg.authorities) {
-    if (const auto* soa = std::get_if<SoaRecord>(&rr.rdata)) {
-      return std::min(rr.ttl, soa->minimum);
+    if (rr.rdata.tag == RdataView::Tag::soa) {
+      return std::min(rr.ttl, rr.rdata.soa->minimum);
     }
   }
   return 300;
+}
+
+/// The 0x20 echo check: the same labels, byte for byte (case
+/// included) — not merely the same dotted text.
+bool same_labels_exact(const dnswire::NameView& got, const Name& sent) {
+  const auto& labels = sent.labels();
+  if (got.labels.size() != labels.size()) return false;
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    if (got.labels[i] != labels[i]) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -51,7 +60,7 @@ void RecursiveResolver::set_rrl(RrlConfig rrl) {
 }
 
 void RecursiveResolver::send_client_response(
-    util::Ipv4 addr, std::uint16_t port, const Message& resp,
+    util::Ipv4 addr, std::uint16_t port, const MessageView& resp,
     std::optional<util::Ipv4> src_override) {
   if (rrl_) {
     const std::uint64_t flow = (std::uint64_t{port} << 16) | resp.header.id;
@@ -62,11 +71,11 @@ void RecursiveResolver::send_client_response(
       case RrlAction::slip: {
         ++stats_.rrl_slipped;
         ++counters_.rate_limited;
-        Message tc;
+        MessageView tc;
         tc.header = resp.header;
         tc.header.tc = true;
         tc.questions = resp.questions;
-        send_message(addr, kDnsPort, port, tc, src_override);
+        send_view(addr, kDnsPort, port, tc, src_override);
         return;
       }
       case RrlAction::drop:
@@ -75,7 +84,7 @@ void RecursiveResolver::send_client_response(
         return;
     }
   }
-  send_message(addr, kDnsPort, port, resp, src_override);
+  send_view(addr, kDnsPort, port, resp, src_override);
 }
 
 void RecursiveResolver::start() {
@@ -83,8 +92,8 @@ void RecursiveResolver::start() {
   sim().bind_udp_wildcard(host(), this);
 }
 
-void RecursiveResolver::on_message(const netsim::Datagram& dgram,
-                                   dnswire::Message msg) {
+bool RecursiveResolver::on_message_view(const netsim::Datagram& dgram,
+                                        const MessageView& msg) {
   if (dgram.dst_port == kDnsPort && !msg.header.qr) {
     handle_client_query(dgram, msg);
   } else if (dgram.dst_port != kDnsPort && msg.header.qr) {
@@ -92,10 +101,11 @@ void RecursiveResolver::on_message(const netsim::Datagram& dgram,
   }
   // Anything else (responses to port 53, queries to ephemeral ports) is
   // reflection noise; dropped.
+  return true;
 }
 
 void RecursiveResolver::handle_client_query(const netsim::Datagram& dgram,
-                                            const Message& msg) {
+                                            const MessageView& msg) {
   ++stats_.client_queries;
   if (msg.questions.size() != 1) {
     send_client_response(dgram.src, dgram.src_port,
@@ -103,7 +113,7 @@ void RecursiveResolver::handle_client_query(const netsim::Datagram& dgram,
                          dgram.dst);
     return;
   }
-  const auto& q = msg.questions.front();
+  const QuestionView& q = msg.questions.front();
 
   if (!cfg_.open) {
     const bool allowed =
@@ -112,9 +122,8 @@ void RecursiveResolver::handle_client_query(const netsim::Datagram& dgram,
     if (!allowed) {
       ++stats_.refused_acl;
       ++counters_.refused;
-      Message resp = dnswire::make_response(msg, Rcode::refused);
-      resp.header.ra = false;
-      send_client_response(dgram.src, dgram.src_port, resp,
+      send_client_response(dgram.src, dgram.src_port,
+                           dnswire::make_response(msg, Rcode::refused),
                            cfg_.service_addr.value_or(dgram.dst));
       return;
     }
@@ -122,13 +131,14 @@ void RecursiveResolver::handle_client_query(const netsim::Datagram& dgram,
 
   // Cache first: the response-based scan method deliberately reuses one
   // static name so that resolver caches absorb the load (§2, Table 2).
-  if (auto hit = cache_.get(q.name, q.type, sim().now())) {
+  // The answer views borrow the cached records; only the TTL is
+  // rewritten to the decayed remainder.
+  if (auto hit = cache_.find(NameKey(q.name.labels, q.type), sim().now())) {
     ++stats_.answered_from_cache;
-    Message resp = dnswire::make_response(msg, hit->negative
-                                                   ? hit->rcode
-                                                   : Rcode::noerror);
+    MessageView resp =
+        dnswire::make_response(msg, hit->negative ? hit->rcode : Rcode::noerror);
     resp.header.ra = true;
-    resp.answers = hit->records;
+    resp.answers = hit->answer_views(scratch_arena());
     send_client_response(dgram.src, dgram.src_port, resp,
                          cfg_.service_addr.value_or(dgram.dst));
     return;
@@ -136,44 +146,43 @@ void RecursiveResolver::handle_client_query(const netsim::Datagram& dgram,
 
   Client client{dgram.src, dgram.src_port, msg.header.id, dgram.dst,
                 msg.header.rd};
-  const auto key = question_key(q);
-  if (auto it = inflight_.find(key); it != inflight_.end()) {
+  const NameKey key(q.name.labels, q.type);
+  if (auto it = inflight_.find(key.bytes()); it != inflight_.end()) {
     it->second->clients.push_back(client);
     return;
   }
   auto task = std::make_shared<Task>();
-  task->original = q;
-  task->current_name = q.name;
+  task->original = dnswire::Question{q.name.to_name(), q.type, q.klass};
+  task->current_name = task->original.name;
   task->clients.push_back(client);
-  inflight_.emplace(key, task);
+  inflight_.emplace(std::string(key.bytes()), task);
   ++stats_.full_resolutions;
   begin_iteration(task);
 }
 
 std::vector<util::Ipv4> RecursiveResolver::best_servers_for(const Name& name) {
-  // Walk from the query name toward the root, looking for a cached
+  // Walk from the query name toward the root (label suffixes, keyed
+  // without building the ancestor names), looking for a cached
   // delegation whose glue we also have.
-  Name zone = name;
-  while (true) {
-    if (auto ns_set = cache_.get(zone, RrType::ns, sim().now());
-        ns_set && !ns_set->negative) {
-      std::vector<util::Ipv4> addrs;
-      for (const auto& rr : ns_set->records) {
-        if (const auto* ns = std::get_if<NsRecord>(&rr.rdata)) {
-          if (auto glue = cache_.get(ns->host, RrType::a, sim().now());
-              glue && !glue->negative) {
-            for (const auto& g : glue->records) {
-              if (const auto* a = std::get_if<ARecord>(&g.rdata)) {
-                addrs.push_back(a->addr);
-              }
-            }
+  const auto& labels = name.labels();
+  for (std::size_t first = 0; first <= labels.size(); ++first) {
+    const auto ns_set =
+        cache_.find(NameKey(labels, RrType::ns, first), sim().now());
+    if (!ns_set || ns_set->negative) continue;
+    std::vector<util::Ipv4> addrs;
+    for (const auto& rr : *ns_set->records) {
+      if (const auto* ns = std::get_if<NsRecord>(&rr.rdata)) {
+        const auto glue =
+            cache_.find(NameKey(ns->host.labels(), RrType::a), sim().now());
+        if (!glue || glue->negative) continue;
+        for (const auto& g : *glue->records) {
+          if (const auto* a = std::get_if<ARecord>(&g.rdata)) {
+            addrs.push_back(a->addr);
           }
         }
       }
-      if (!addrs.empty()) return addrs;
     }
-    if (zone.is_root()) break;
-    zone = zone.parent();
+    if (!addrs.empty()) return addrs;
   }
   return cfg_.root_hints;
 }
@@ -233,16 +242,23 @@ void RecursiveResolver::query_current_server(const TaskPtr& task) {
   }
   pending_upstream_[pending_key(port, txid)] = PendingUpstream{task, cased};
 
-  Message q = dnswire::make_query(txid, cased, task->original.type,
-                                  /*recursion_desired=*/false);
+  const auto question = scratch_arena().alloc_array<QuestionView>(1);
+  question[0].name = dnswire::view_of(scratch_arena(), cased);
+  question[0].type = task->original.type;
+  MessageView q;
+  q.header.id = txid;
+  q.questions = question;
   ++stats_.upstream_queries;
-  send_message(server, port, kDnsPort, q);
+  send_view(server, port, kDnsPort, q);
 
   sim().schedule_timer(cfg_.upstream_timeout, this, generation,
                        pending_key(port, txid));
 }
 
 void RecursiveResolver::on_timer(std::uint64_t generation, std::uint64_t key) {
+  // No datagram view is live inside a timer, so the scratch arena the
+  // retry or SERVFAIL replies are built in can start over.
+  scratch_arena().reset();
   auto it = pending_upstream_.find(static_cast<std::uint32_t>(key));
   if (it == pending_upstream_.end()) return;  // answered already
   const TaskPtr task = it->second.task;
@@ -273,7 +289,7 @@ void RecursiveResolver::advance_server(const TaskPtr& task) {
 }
 
 void RecursiveResolver::handle_upstream_response(const netsim::Datagram& dgram,
-                                                 const Message& msg) {
+                                                 const MessageView& msg) {
   auto it = pending_upstream_.find(pending_key(dgram.dst_port, msg.header.id));
   if (it == pending_upstream_.end()) return;  // late or off-path response
   // 0x20 validation: the echoed question must match the exact case we
@@ -281,8 +297,8 @@ void RecursiveResolver::handle_upstream_response(const netsim::Datagram& dgram,
   // with probability 2^-letters.
   if (cfg_.case_randomization) {
     if (msg.questions.size() != 1 ||
-        msg.questions.front().name.to_string() !=
-            it->second.cased_name.to_string()) {
+        !same_labels_exact(msg.questions.front().name,
+                           it->second.cased_name)) {
       ++stats_.rejected_0x20;
       return;  // keep the transaction pending; the real answer may come
     }
@@ -303,13 +319,14 @@ void RecursiveResolver::handle_upstream_response(const netsim::Datagram& dgram,
     return;
   }
 
-  // Collect answers matching the current name.
+  // Collect answers matching the current name; only records the
+  // resolver keeps are materialized.
   std::vector<ResourceRecord> direct;
-  const ResourceRecord* cname = nullptr;
+  const RecordView* cname = nullptr;
   for (const auto& rr : msg.answers) {
-    if (rr.name != task->current_name) continue;
+    if (!rr.name.equals(task->current_name)) continue;
     if (rr.type == task->original.type) {
-      direct.push_back(rr);
+      direct.push_back(dnswire::materialize(rr));
     } else if (rr.type == RrType::cname) {
       cname = &rr;
     }
@@ -326,9 +343,10 @@ void RecursiveResolver::handle_upstream_response(const netsim::Datagram& dgram,
       finish_servfail(task);
       return;
     }
-    cache_.put(task->current_name, RrType::cname, {*cname}, sim().now());
-    task->cname_chain.push_back(*cname);
-    task->current_name = std::get<CnameRecord>(cname->rdata).target;
+    ResourceRecord record = dnswire::materialize(*cname);
+    cache_.put(task->current_name, RrType::cname, {record}, sim().now());
+    task->current_name = std::get<CnameRecord>(record.rdata).target;
+    task->cname_chain.push_back(std::move(record));
     begin_iteration(task);
     return;
   }
@@ -336,7 +354,7 @@ void RecursiveResolver::handle_upstream_response(const netsim::Datagram& dgram,
   // Referral? Cache the delegation and descend.
   std::vector<ResourceRecord> ns_records;
   for (const auto& rr : msg.authorities) {
-    if (rr.type == RrType::ns) ns_records.push_back(rr);
+    if (rr.type == RrType::ns) ns_records.push_back(dnswire::materialize(rr));
   }
   if (!ns_records.empty()) {
     if (++task->referrals > cfg_.max_referrals) {
@@ -346,9 +364,10 @@ void RecursiveResolver::handle_upstream_response(const netsim::Datagram& dgram,
     cache_.put(ns_records.front().name, RrType::ns, ns_records, sim().now());
     std::vector<util::Ipv4> next_servers;
     for (const auto& rr : msg.additionals) {
-      if (const auto* a = std::get_if<ARecord>(&rr.rdata)) {
-        cache_.put(rr.name, RrType::a, {rr}, sim().now());
-        next_servers.push_back(a->addr);
+      if (rr.rdata.tag == RdataView::Tag::a) {
+        cache_.put(rr.name.to_name(), RrType::a, {dnswire::materialize(rr)},
+                   sim().now());
+        next_servers.push_back(rr.rdata.a_addr);
       }
     }
     if (next_servers.empty()) {
@@ -391,16 +410,31 @@ void RecursiveResolver::respond_all(
     const TaskPtr& task, Rcode rcode,
     const std::vector<ResourceRecord>& answers) {
   task->done = true;
-  inflight_.erase(question_key(task->original));
+  if (auto it = inflight_.find(
+          NameKey(task->original.name.labels(), task->original.type).bytes());
+      it != inflight_.end()) {
+    inflight_.erase(it);
+  }
+  // One question and answer section for every client; each reply
+  // differs only in its header.
+  dnswire::WireArena& arena = scratch_arena();
+  const auto question = arena.alloc_array<QuestionView>(1);
+  question[0].name = dnswire::view_of(arena, task->original.name);
+  question[0].type = task->original.type;
+  question[0].klass = task->original.klass;
+  const auto records = arena.alloc_array<RecordView>(answers.size());
+  for (std::size_t i = 0; i < answers.size(); ++i) {
+    records[i] = dnswire::view_of(arena, answers[i]);
+  }
   for (const auto& client : task->clients) {
-    Message resp;
+    MessageView resp;
     resp.header.id = client.txid;
     resp.header.qr = true;
     resp.header.rd = client.recursion_desired;
     resp.header.ra = true;
     resp.header.rcode = rcode;
-    resp.questions.push_back(task->original);
-    resp.answers = answers;
+    resp.questions = question;
+    resp.answers = records;
     const util::Ipv4 reply_src = cfg_.service_addr.value_or(client.arrival_dst);
     send_client_response(client.addr, client.port, resp, reply_src);
   }

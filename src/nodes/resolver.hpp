@@ -6,10 +6,19 @@
 // Open vs. restricted operation is an ACL: restricted resolvers REFUSE
 // sources outside their allow list — which is why transparent
 // forwarders must relay to *open* resolvers to act as ODNS components.
+//
+// Every datagram is handled on its decoded view (DnsNode's
+// on_message_view): client queries — FORMERR, ACL refusal, cache hits,
+// RRL pass/slip/drop — and the replies of respond_all are built as
+// views over the request and the cache and encoded once, with no heap
+// Message. Only a full resolution (a cache miss) allocates: its task,
+// the upstream bookkeeping, and the records it caches.
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -84,7 +93,8 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
   }
 
  protected:
-  void on_message(const netsim::Datagram& dgram, dnswire::Message msg) override;
+  bool on_message_view(const netsim::Datagram& dgram,
+                       const dnswire::MessageView& msg) override;
 
  private:
   struct Client {
@@ -111,9 +121,9 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
   using TaskPtr = std::shared_ptr<Task>;
 
   void handle_client_query(const netsim::Datagram& dgram,
-                           const dnswire::Message& msg);
+                           const dnswire::MessageView& msg);
   void handle_upstream_response(const netsim::Datagram& dgram,
-                                const dnswire::Message& msg);
+                                const dnswire::MessageView& msg);
 
   void begin_iteration(const TaskPtr& task);
   void query_current_server(const TaskPtr& task);
@@ -129,9 +139,10 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
 
   /// RRL gate in front of every client-facing send: pass emits `resp`
   /// unchanged, slip emits a minimal TC=1 echo of the question, drop
-  /// emits nothing. With RRL disabled this is exactly send_message.
+  /// emits nothing. With RRL disabled this is exactly send_view.
+  /// `resp` must not live in the tx arena (build it in scratch_arena).
   void send_client_response(util::Ipv4 addr, std::uint16_t port,
-                            const dnswire::Message& resp,
+                            const dnswire::MessageView& resp,
                             std::optional<util::Ipv4> src_override);
 
   /// Best cached name-server addresses for `name`: walks up the label
@@ -153,7 +164,11 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
   std::uint64_t seed_;  // also seeds the RRL slip hash
   std::optional<ResponseRateLimiter> rrl_;
   ResolverStats stats_;
-  std::unordered_map<std::string, TaskPtr> inflight_;  // by question key
+  /// In-flight resolutions by NameKey of their question: identical
+  /// questions (same labels up to case, same type) coalesce.
+  std::unordered_map<std::string, TaskPtr, dnswire::NameKeyHash,
+                     std::equal_to<>>
+      inflight_;
   std::unordered_map<std::uint32_t, PendingUpstream> pending_upstream_;
   std::uint16_t next_port_ = 49152;
   std::uint64_t next_generation_ = 1;

@@ -1,10 +1,15 @@
 #include "scan/capture_vantage.hpp"
 
 #include <cassert>
+#include <type_traits>
 
+#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 
 namespace odns::scan {
+
+static_assert(!std::is_copy_constructible_v<CaptureVantage> &&
+              !std::is_move_constructible_v<CaptureVantage>);
 
 CaptureVantage::CaptureVantage(netsim::Simulator& sim, netsim::HostId host,
                                std::uint32_t index,
@@ -53,18 +58,19 @@ void CaptureVantage::send(const PlannedProbe& probe) {
   if (query_.empty()) {
     opts.payload = dnswire::encode(dnswire::make_query(
         probe.txid, cfg_->qname_for_target(probe.target), cfg_->qtype));
-  } else {
-    // The ID is the first header field: patching it yields the bytes
-    // a fresh encode with this TXID would.
-    opts.payload = query_;
-    opts.payload[0] = static_cast<std::uint8_t>(probe.txid >> 8);
-    opts.payload[1] = static_cast<std::uint8_t>(probe.txid & 0xFF);
+    sim_->send_udp(host_, std::move(opts));
+    return;
   }
-  sim_->send_udp(host_, std::move(opts));
+  // The ID is the first header field: patching it yields the bytes a
+  // fresh encode with this TXID would.
+  query_[0] = static_cast<std::uint8_t>(probe.txid >> 8);
+  query_[1] = static_cast<std::uint8_t>(probe.txid & 0xFF);
+  sim_->send_udp(host_, std::move(opts), query_);
 }
 
 void CaptureVantage::on_datagram(const netsim::Datagram& dgram) {
-  auto parsed = dnswire::decode(*dgram.payload);
+  rx_.reset();
+  auto parsed = dnswire::decode_into(rx_, *dgram.payload);
   if (!parsed) {
     // Undecodable captures are counted twice on purpose: parse_errors
     // keeps the classic total, responses_corrupt isolates the wire-
@@ -84,7 +90,11 @@ void CaptureVantage::on_datagram(const netsim::Datagram& dgram) {
   rec.txid = msg.header.id;
   rec.at = sim_->now();
   rec.rcode = msg.header.rcode;
-  rec.answer_addrs = msg.answer_addresses();
+  for (const auto& rr : msg.answers) {
+    if (rr.rdata.tag == dnswire::RdataView::Tag::a) {
+      rec.answer_addrs.push_back(rr.rdata.a_addr);
+    }
+  }
   rec.vantage = index_;
   capture_.push_back(std::move(rec));
 }

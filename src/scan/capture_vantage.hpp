@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "dnswire/arena.hpp"
 #include "netsim/sim.hpp"
 #include "scan/plan.hpp"
 #include "scan/types.hpp"
@@ -25,6 +26,12 @@ class CaptureVantage : public netsim::App, public netsim::TimerTarget {
   CaptureVantage(netsim::Simulator& sim, netsim::HostId host,
                  std::uint32_t index,
                  std::optional<util::Ipv4> spoof_src = std::nullopt);
+  /// The simulator holds this object's address (socket binding, ICMP
+  /// sink, pacing timer), so it can be neither copied nor moved.
+  CaptureVantage(const CaptureVantage&) = delete;
+  CaptureVantage& operator=(const CaptureVantage&) = delete;
+  CaptureVantage(CaptureVantage&&) = delete;
+  CaptureVantage& operator=(CaptureVantage&&) = delete;
 
   /// Paces `slice` (plan indices, in plan order) of `plan` under `cfg`:
   /// arms the first send instant on the host's own shard, and each
@@ -44,9 +51,9 @@ class CaptureVantage : public netsim::App, public netsim::TimerTarget {
   }
   [[nodiscard]] const ScannerStats& stats() const { return stats_; }
 
-  /// The capture hook: decodes the datagram and records responses.
-  /// Non-responses are ignored; undecodable payloads count as parse
-  /// errors.
+  /// The capture hook: decodes the datagram into a view and records
+  /// the ID, rcode and A answers of responses. Non-responses are
+  /// ignored; undecodable payloads count as parse errors.
   void on_datagram(const netsim::Datagram& dgram) override;
   /// Probe-pacing timer: sends the probes due now and arms the next
   /// send instant (one timer pending at a time; the words are unused).
@@ -72,9 +79,10 @@ class CaptureVantage : public netsim::App, public netsim::TimerTarget {
   const VantagePlan* plan_ = nullptr;
   const ScanConfig* cfg_ = nullptr;
   PlanPacer pacer_;
-  /// The static-qname query, encoded with ID 0 (empty when
-  /// qname_for_target names each target).
+  /// The static-qname query; each send patches its TXID into the ID
+  /// bytes (empty when qname_for_target names each target).
   std::vector<std::uint8_t> query_;
+  dnswire::WireArena rx_;  // capture decode target, reset per datagram
 };
 
 /// The scan drain protocol: runs `sim` until every planned probe is

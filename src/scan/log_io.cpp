@@ -10,7 +10,7 @@ namespace odns::scan {
 
 namespace {
 
-std::string addr_list(const std::vector<util::Ipv4>& addrs) {
+std::string addr_list(const AnswerAddrs& addrs) {
   std::string out;
   for (const auto a : addrs) {
     if (!out.empty()) out += ' ';
@@ -19,8 +19,8 @@ std::string addr_list(const std::vector<util::Ipv4>& addrs) {
   return out;
 }
 
-std::vector<util::Ipv4> parse_addr_list(const std::string& field) {
-  std::vector<util::Ipv4> out;
+AnswerAddrs parse_addr_list(const std::string& field) {
+  AnswerAddrs out;
   for (const auto& part : util::split(field, ' ')) {
     if (part.empty()) continue;
     if (auto a = util::Ipv4::parse(part)) out.push_back(*a);

@@ -47,7 +47,8 @@ void VantagePlan::append_probe_table(util::SimTime t0,
 
 VantagePlan VantagePlan::build(const netsim::Simulator& sim,
                                const ScanConfig& cfg,
-                               const std::vector<util::Ipv4>& targets) {
+                               const std::vector<util::Ipv4>& targets,
+                               std::size_t first_tuple) {
   if (cfg.probes_per_second == 0) {
     throw std::invalid_argument("VantagePlan: probes_per_second must be > 0");
   }
@@ -61,6 +62,7 @@ VantagePlan VantagePlan::build(const netsim::Simulator& sim,
     paced = &interleaved;
   }
   TupleSequencer tuples(cfg.port_base, cfg.port_limit);
+  for (std::size_t k = 0; k < first_tuple; ++k) (void)tuples.next();
   const std::size_t n = paced->size();
   plan.originals_ = n;
   plan.probes_.reserve(n * (1 + cfg.max_retries));

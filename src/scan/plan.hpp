@@ -75,11 +75,15 @@ class VantagePlan {
   /// (classic or interleaved), tuple assignment in pacing order, paced
   /// send offsets, and — with cfg.max_retries > 0 — the appended
   /// retransmission entries (originals first, so plan index == probe-
-  /// table index for every attempt-0 entry). Throws
-  /// std::invalid_argument when cfg.probes_per_second is 0.
+  /// table index for every attempt-0 entry). `first_tuple` skips that
+  /// many tuples of the sequence: a sender's later plan continues
+  /// where its earlier plans stopped, so no two probes in its table
+  /// share a (port, TXID). Throws std::invalid_argument when
+  /// cfg.probes_per_second is 0.
   [[nodiscard]] static VantagePlan build(const netsim::Simulator& sim,
                                          const ScanConfig& cfg,
-                                         const std::vector<util::Ipv4>& targets);
+                                         const std::vector<util::Ipv4>& targets,
+                                         std::size_t first_tuple = 0);
 
   [[nodiscard]] const std::vector<PlannedProbe>& probes() const {
     return probes_;

@@ -66,8 +66,7 @@ class StreamingCorrelator {
   /// True while tuple lookup runs arithmetically against the
   /// TupleSequencer pattern (no per-probe hash map). False only for
   /// probe tables that do not follow the sequencer (hand-built or
-  /// CSV-read logs, repeated start() calls), which fall back to a
-  /// tuple map.
+  /// CSV-read logs), which fall back to a tuple map.
   [[nodiscard]] bool dense_lookup() const { return arithmetic_; }
 
  private:
@@ -76,7 +75,7 @@ class StreamingCorrelator {
   struct PendingTxn {
     util::Ipv4 response_src;
     util::SimTime responded_at;
-    std::vector<util::Ipv4> answer_addrs;
+    AnswerAddrs answer_addrs;
     dnswire::Rcode rcode = dnswire::Rcode::noerror;
     std::uint32_t vantage = 0;
     bool answered = false;

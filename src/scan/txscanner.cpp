@@ -16,7 +16,7 @@ void TransactionalScanner::start(const std::vector<util::Ipv4>& targets) {
     throw std::logic_error(
         "TransactionalScanner::start: the previous plan is still pacing");
   }
-  plan_ = VantagePlan::build(*sim_, cfg_, targets);
+  plan_ = VantagePlan::build(*sim_, cfg_, targets, probes_.size());
   const util::SimTime t0 = sim_->now();
   plan_.append_probe_table(t0, probes_);
   std::vector<std::uint32_t> indices(plan_.probes().size());

@@ -31,8 +31,10 @@ class TransactionalScanner : public CaptureVantage {
 
   /// Plans probes to every target and arms the first send; each send
   /// instant arms the next. Call sim().run() (or run_to_completion)
-  /// afterwards. Throws std::logic_error while a previous plan is
-  /// still pacing.
+  /// afterwards. A later start() continues the (port, TXID) sequence
+  /// and appends to the probe table, so correlate() joins each run's
+  /// responses to its own probes. Throws std::logic_error while a
+  /// previous plan is still pacing.
   void start(const std::vector<util::Ipv4>& targets);
 
   /// Runs the simulator until every probe is sent and the timeout

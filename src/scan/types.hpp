@@ -14,9 +14,14 @@
 #include "dnswire/message.hpp"
 #include "dnswire/name.hpp"
 #include "util/ipv4.hpp"
+#include "util/small_vec.hpp"
 #include "util/time.hpp"
 
 namespace odns::scan {
+
+/// A response's A-record addresses in answer order. The census reads
+/// two (the dynamic and the control record), held inline.
+using AnswerAddrs = util::SmallVec<util::Ipv4, 2>;
 
 struct ScanConfig {
   dnswire::Name qname;                   // static scan name (response-based)
@@ -79,7 +84,7 @@ struct RawResponse {
   std::uint16_t txid = 0;
   util::SimTime at;
   dnswire::Rcode rcode = dnswire::Rcode::noerror;
-  std::vector<util::Ipv4> answer_addrs;
+  AnswerAddrs answer_addrs;
   /// Index of the capture vantage that recorded this datagram (0 for
   /// the single-vantage scanner). An execution detail: which member
   /// captures a response depends on the shard count, so this field is
@@ -95,7 +100,7 @@ struct Transaction {
   util::Ipv4 response_src;
   util::Duration rtt;
   dnswire::Rcode rcode = dnswire::Rcode::noerror;
-  std::vector<util::Ipv4> answer_addrs;  // A records, in answer order
+  AnswerAddrs answer_addrs;  // A records, in answer order
   /// Capture vantage that recorded the winning response (for
   /// unanswered probes: the vantage that sent the probe). Execution
   /// detail — see RawResponse::vantage.

@@ -34,7 +34,7 @@ void VantageSet::start(const std::vector<util::Ipv4>& targets) {
           "VantageSet::start: the previous plan is still pacing");
     }
   }
-  plan_ = VantagePlan::build(*sim_, cfg_, targets);
+  plan_ = VantagePlan::build(*sim_, cfg_, targets, probes_.size());
   const util::SimTime t0 = sim_->now();
   plan_.append_probe_table(t0, probes_);
   std::unordered_map<netsim::HostId, std::uint32_t> member_of_host;

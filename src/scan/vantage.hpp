@@ -53,8 +53,10 @@ class VantageSet {
   /// Builds the global plan and hands every probe to the vantage
   /// member owning the probed target's shard; each member paces its
   /// slice with one pending timer on its own shard. Call between runs
-  /// (all shard clocks synchronized), then run_to_completion(). Throws
-  /// std::logic_error while a previous plan is still pacing.
+  /// (all shard clocks synchronized), then run_to_completion(). A
+  /// later start() continues the (port, TXID) sequence and appends to
+  /// the probe table. Throws std::logic_error while a previous plan is
+  /// still pacing.
   void start(const std::vector<util::Ipv4>& targets);
 
   /// Runs the simulator until every probe is sent and the timeout

@@ -1,7 +1,8 @@
 // Allocation audit for the arena wire path (docs/architecture.md,
 // "Zero-allocation wire path"): after warm-up, the serving hot path —
 // decode_into → AuthServer::build_mirror_response → encode_into — must
-// perform ZERO heap allocations per message. This binary replaces the
+// perform ZERO heap allocations per message, and a whole faulted
+// streaming census stays under a per-packet allocation ceiling. This binary replaces the
 // global operator new/delete with counting versions feeding
 // test::allocaudit (declared in testutil.hpp); no other test binary
 // defines the replacements, so the rest of the suite runs on the stock
@@ -23,7 +24,10 @@
 #include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
+#include "core/census.hpp"
+#include "registry/registry.hpp"
 #include "testutil.hpp"
+#include "topo/deployment.hpp"
 
 // ---------------------------------------------------------------------
 // Counting global allocator. Replacement definitions live in exactly
@@ -173,6 +177,66 @@ TEST(AllocAudit, MirrorServingPathIsZeroAllocationAfterWarmup) {
   EXPECT_EQ(rx.chunk_count(), rx_chunks);
   EXPECT_EQ(scratch.chunk_count(), scratch_chunks);
   EXPECT_EQ(tx.chunk_count(), tx_chunks);
+}
+
+TEST(AllocAudit, StreamingCensusStaysUnderThreeAllocationsPerPacket) {
+  // The Internet-scale census shape in miniature: bulk forwarder
+  // population, three shards stepped in one thread with one capture
+  // vantage each, streaming correlation, loss + jitter/reorder/dup/
+  // corrupt faults and two retries. Every simulated packet crosses the
+  // census packet path (capture, bank relay, resolver, auth); the
+  // world build and registry derivation are counted separately and
+  // subtracted.
+  core::CensusConfig cfg;
+  cfg.topology.scale = 0.01;
+  cfg.topology.seed = 2021;
+  cfg.topology.sim.seed = 2021;
+  cfg.topology.bulk_population = true;
+  cfg.topology.eyeball_as_multiplier = 4.0;
+  cfg.topology.sim.shards = 3;
+  cfg.topology.sim.shard_threads = false;
+  cfg.topology.sim.loss_rate = 0.05;
+  cfg.topology.sim.faults.jitter_rate = 0.3;
+  cfg.topology.sim.faults.jitter_max = util::Duration::millis(5);
+  cfg.topology.sim.faults.reorder_rate = 0.15;
+  cfg.topology.sim.faults.dup_rate = 0.1;
+  cfg.topology.sim.faults.corrupt_rate = 0.05;
+  cfg.sim_shards = 3;
+  cfg.shard_interleaved_targets = true;
+  cfg.vantages = 3;
+  cfg.streaming_correlation = true;
+  cfg.retain_transactions = false;
+  cfg.scan_timeout = util::Duration::seconds(2);
+  cfg.probes_per_second = 100000;
+  cfg.correlate_flush = util::Duration::millis(250);
+  cfg.scan_max_retries = 2;
+  cfg.scan_retry_backoff = util::Duration::millis(500);
+
+  std::uint64_t build_allocs = 0;
+  {
+    AllocationScope scope;
+    auto world = topo::TopologyBuilder::build(cfg.topology);
+    const auto registry =
+        registry::RegistrySnapshot::derive(*world, cfg.registry);
+    build_allocs = scope.allocations_in_scope();
+  }
+  std::uint64_t census_allocs = 0;
+  std::uint64_t packets = 0;
+  std::uint64_t answered = 0;
+  {
+    AllocationScope scope;
+    const auto result = core::run_census(cfg);
+    census_allocs = scope.allocations_in_scope();
+    packets = result.degradation.net.sent;
+    answered = result.degradation.targets_answered;
+  }
+  ASSERT_GT(census_allocs, build_allocs);
+  ASSERT_GT(packets, 10000u);
+  ASSERT_GT(answered, 0u);
+  const double per_packet = static_cast<double>(census_allocs - build_allocs) /
+                            static_cast<double>(packets);
+  EXPECT_LE(per_packet, 3.0) << census_allocs - build_allocs
+                             << " allocations for " << packets << " packets";
 }
 
 TEST(AllocAudit, ArenaRetainsChunksAcrossReset) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "scan/correlate.hpp"
 #include "scan/log_io.hpp"
@@ -19,19 +22,23 @@ using util::Ipv4;
 class LogIoFixture : public ::testing::Test {
  protected:
   MiniWorld world;
+  /// The simulator holds the scanner's address, so the fixture owns it
+  /// in place and hands out a reference.
+  std::unique_ptr<TransactionalScanner> scanner_;
 
-  TransactionalScanner scan_world() {
+  TransactionalScanner& scan_world() {
     ScanConfig sc;
     sc.qname = world.scan_name;
-    TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-    scanner.start({test::kResolverAddr});
-    scanner.run_to_completion();
-    return scanner;
+    scanner_ = std::make_unique<TransactionalScanner>(world.sim,
+                                                      world.scanner_host, sc);
+    scanner_->start({test::kResolverAddr});
+    scanner_->run_to_completion();
+    return *scanner_;
   }
 };
 
 TEST_F(LogIoFixture, ProbeLogRoundTrip) {
-  auto scanner = scan_world();
+  auto& scanner = scan_world();
   std::stringstream ss;
   write_probes_csv(ss, scanner.probes());
   const auto back = read_probes_csv(ss);
@@ -43,7 +50,7 @@ TEST_F(LogIoFixture, ProbeLogRoundTrip) {
 }
 
 TEST_F(LogIoFixture, CaptureLogRoundTrip) {
-  auto scanner = scan_world();
+  auto& scanner = scan_world();
   std::stringstream ss;
   write_capture_csv(ss, scanner.capture());
   const auto back = read_capture_csv(ss);
@@ -54,7 +61,7 @@ TEST_F(LogIoFixture, CaptureLogRoundTrip) {
 }
 
 TEST_F(LogIoFixture, OfflineCorrelationMatchesOnline) {
-  auto scanner = scan_world();
+  auto& scanner = scan_world();
   const auto online = scanner.correlate();
   std::stringstream probes_csv;
   std::stringstream capture_csv;
@@ -73,7 +80,7 @@ TEST_F(LogIoFixture, OfflineCorrelationMatchesOnline) {
 }
 
 TEST_F(LogIoFixture, TransactionsRoundTrip) {
-  auto scanner = scan_world();
+  auto& scanner = scan_world();
   const auto txns = scanner.correlate();
   std::stringstream ss;
   write_transactions_csv(ss, txns);
@@ -164,6 +171,69 @@ TEST_F(Dns0x20Fixture, ForgedResponsesWithWrongCaseRejected) {
               stub.responses().front().message.answer_addresses().empty() ||
               stub.responses().front().message.answer_addresses()[0] !=
                   (Ipv4{6, 6, 6, 6}));
+}
+
+/// An upstream that echoes the exact case it received but merges the
+/// question's first two labels into one ("sCaN.oDns-study", "nEt"):
+/// the same dotted text, a different name.
+class SplitEchoServer : public netsim::App {
+ public:
+  SplitEchoServer(netsim::Simulator& sim, netsim::HostId host)
+      : sim_(&sim), host_(host) {
+    sim.bind_udp(host, 53, this);
+  }
+
+  void on_datagram(const netsim::Datagram& dgram) override {
+    auto query = dnswire::decode(*dgram.payload);
+    if (!query || query.value().questions.size() != 1) return;
+    const auto& labels = query.value().questions.front().name.labels();
+    if (labels.size() < 2) return;
+    std::vector<std::string> merged{labels[0] + "." + labels[1]};
+    merged.insert(merged.end(), labels.begin() + 2, labels.end());
+    auto resp = dnswire::make_response(query.value());
+    resp.questions.front().name = *dnswire::Name::from_labels(merged);
+    resp.answers.push_back(dnswire::ResourceRecord::a(
+        query.value().questions.front().name, Ipv4{6, 6, 6, 6}, 3600));
+    netsim::SendOptions opts;
+    opts.dst = dgram.src;
+    opts.src_port = 53;
+    opts.dst_port = dgram.src_port;
+    opts.payload = dnswire::encode(resp);
+    sim_->send_udp(host_, std::move(opts));
+  }
+
+ private:
+  netsim::Simulator* sim_;
+  netsim::HostId host_;
+};
+
+TEST_F(Dns0x20Fixture, EchoWithRegroupedLabelsRejected) {
+  // The echoed question must be the same labels byte for byte, not
+  // merely the same dotted text.
+  const Ipv4 upstream_addr{198, 41, 0, 98};
+  SplitEchoServer upstream(
+      world.sim, world.sim.net().add_host(test::kInfraAsn, {upstream_addr}));
+  nodes::ResolverConfig rc;
+  rc.open = true;
+  rc.root_hints = {upstream_addr};
+  rc.upstream_timeout = util::Duration::seconds(1);
+  rc.max_retries = 0;
+  const auto rhost =
+      world.sim.net().add_host(test::kResolverAsn, {Ipv4{8, 8, 8, 112}});
+  nodes::RecursiveResolver victim(world.sim, rhost, rc, 5);
+  victim.start();
+
+  const auto client = world.add_access_host(Ipv4{20, 0, 73, 1});
+  nodes::StubClient stub(world.sim, client);
+  stub.start();
+  stub.query(Ipv4{8, 8, 8, 112}, world.scan_name);
+  world.sim.run();
+
+  EXPECT_EQ(victim.stats().rejected_0x20, 1u);
+  ASSERT_EQ(stub.responses().size(), 1u);
+  EXPECT_EQ(stub.responses().front().message.header.rcode,
+            dnswire::Rcode::servfail);
+  EXPECT_TRUE(stub.responses().front().message.answer_addresses().empty());
 }
 
 TEST_F(Dns0x20Fixture, DisabledRandomizationAcceptsPlainCase) {

@@ -88,6 +88,17 @@ TEST(DnsCacheTest, KeyIsCaseInsensitive) {
           .has_value());
 }
 
+TEST(DnsCacheTest, LabelHoldingADotIsAnotherName) {
+  // ["a.b","c"] and ["a","b","c"] print alike but are different names.
+  DnsCache cache;
+  const auto split = *Name::from_labels({"a", "b", "c"});
+  const auto dotted = *Name::from_labels({"a.b", "c"});
+  cache.put(split, RrType::a, {ResourceRecord::a(split, Ipv4{1, 2, 3, 4}, 300)},
+            SimTime::origin());
+  EXPECT_FALSE(cache.get(dotted, RrType::a, SimTime::origin()).has_value());
+  EXPECT_TRUE(cache.get(split, RrType::a, SimTime::origin()).has_value());
+}
+
 TEST(DnsCacheTest, CapacityEviction) {
   DnsCache cache(86400, /*max_entries=*/4);
   for (int i = 0; i < 8; ++i) {

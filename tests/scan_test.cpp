@@ -159,6 +159,51 @@ TEST_F(ScanFixture, StartWhilePacingThrows) {
   EXPECT_EQ(scanner.stats().probes_sent, 3u);
 }
 
+/// Two runs over one resolver, each answered in its own run: the
+/// second plan must not reuse the first plan's (port, TXID) tuples, or
+/// the join pairs the first run's response with the second run's probe.
+void expect_two_runs_answered_separately(
+    const std::vector<SentProbe>& probes, const std::vector<Transaction>& txns,
+    const ScannerStats& stats) {
+  ASSERT_EQ(probes.size(), 2u);
+  EXPECT_FALSE(probes[0].src_port == probes[1].src_port &&
+               probes[0].txid == probes[1].txid);
+  ASSERT_EQ(txns.size(), 2u);
+  for (const auto& txn : txns) {
+    EXPECT_TRUE(txn.answered);
+    EXPECT_EQ(txn.response_src, test::kResolverAddr);
+    EXPECT_GT(txn.rtt.count_nanos(), 0);
+    EXPECT_LT(txn.rtt, Duration::seconds(1));
+  }
+  EXPECT_EQ(stats.responses_duplicate, 0u);
+}
+
+TEST_F(ScanFixture, SecondStartContinuesTheTupleSequence) {
+  TransactionalScanner scanner(world.sim, world.scanner_host, scan_config());
+  scanner.start({test::kResolverAddr});
+  scanner.run_to_completion();
+  scanner.start({test::kResolverAddr});
+  scanner.run_to_completion();
+  const auto txns = scanner.correlate();
+  expect_two_runs_answered_separately(scanner.probes(), txns,
+                                      scanner.stats());
+}
+
+TEST(ScanPacing, VantageSetSecondStartContinuesTheTupleSequence) {
+  MiniWorld world;
+  ScanConfig cfg;
+  cfg.qname = world.scan_name;
+  VantageSet set(world.sim, cfg, test::kScannerAddr,
+                 honeypot::attach_capture_vantages(world.sim.net(),
+                                                   test::kScannerAsn, 1));
+  set.start({test::kResolverAddr});
+  set.run_to_completion();
+  set.start({test::kResolverAddr});
+  set.run_to_completion();
+  const auto txns = set.correlate();
+  expect_two_runs_answered_separately(set.probes(), txns, set.stats());
+}
+
 TEST(ScanPacing, VantageSetStartWhilePacingThrows) {
   MiniWorld world;
   ScanConfig cfg;
