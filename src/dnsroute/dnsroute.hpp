@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "netsim/sim.hpp"
 #include "registry/registry.hpp"

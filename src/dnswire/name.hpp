@@ -62,13 +62,11 @@ class Name {
   std::vector<std::string> labels_;
 };
 
-/// A (name, type) map key built without the heap: the lower-cased,
-/// uncompressed wire form of the name (length-prefixed labels, then the
-/// root's zero octet) followed by the type's two octets. Any label
-/// container works — a Name's strings, a decoded NameView's views —
-/// and `first` skips leading labels, so an ancestor's key needs no new
-/// Name. Equal keys mean the same label sequence up to ASCII case:
-/// ["a.b","c"] and ["a","b","c"] differ in their length octets.
+/// A (name, type) map key built without the heap: the lower-cased
+/// uncompressed wire name (length-prefixed labels, zero octet) plus the
+/// type's two octets. Takes a Name's or a NameView's labels; `first`
+/// skips leading labels, keying an ancestor without a new Name. Equal
+/// keys are equal label sequences up to ASCII case.
 class NameKey {
  public:
   template <typename Labels>

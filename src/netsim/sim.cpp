@@ -303,9 +303,8 @@ bool Simulator::loss_drop(Asn origin_as, const Packet& pkt,
 namespace {
 // Pool bounds: DNS payloads stay far below the buffer cap, and the
 // pool only needs to cover one shard's packets in flight.
-constexpr std::size_t kMinPayloadCapacity = 256;
 constexpr std::size_t kMaxPooledPayload = 4096;
-constexpr std::size_t kMaxPooledBuffers = 8192;
+constexpr std::size_t kMaxPooledBuffers = 1024;
 }  // namespace
 
 void Simulator::recycle_payload(Shard& sh, Packet& pkt) {
@@ -328,10 +327,6 @@ std::vector<std::uint8_t> Simulator::pooled_copy(
   if (!sh.payload_pool.empty()) {
     out = std::move(sh.payload_pool.back());
     sh.payload_pool.pop_back();
-  } else {
-    // Fresh buffers fit any census message, so a recycled query buffer
-    // never has to grow for the larger response it carries next.
-    out.reserve(std::max(bytes.size(), kMinPayloadCapacity));
   }
   out.assign(bytes.begin(), bytes.end());
   return out;
@@ -595,18 +590,12 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
   if (dup) {
     // The copy lands one hop latency after the (possibly corrupted)
     // original — duplication happens on the wire, so both carry the
-    // same bytes. Copied field by field so the payload comes from the
-    // pool.
-    Packet copy;
-    copy.src = pkt.src;
-    copy.dst = pkt.dst;
-    copy.ttl = pkt.ttl;
-    copy.proto = pkt.proto;
-    copy.src_port = pkt.src_port;
-    copy.dst_port = pkt.dst_port;
-    copy.icmp_type = pkt.icmp_type;
-    copy.icmp_quote = pkt.icmp_quote;
-    copy.payload = pooled_copy(sh, pkt.payload);
+    // same bytes; the copy's payload buffer comes from the pool.
+    Packet copy{pkt.src,       pkt.dst,
+                pkt.ttl,       pkt.proto,
+                pkt.src_port,  pkt.dst_port,
+                pooled_copy(sh, pkt.payload),
+                pkt.icmp_type, pkt.icmp_quote};
     schedule_deliver_on(sh, dst_shard, deliver_at + cfg_.hop_latency,
                         std::move(copy), dst_host);
   }

@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
+#include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "dnswire/name.hpp"
 #include "util/time.hpp"

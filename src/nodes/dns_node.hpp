@@ -2,7 +2,7 @@
 // Shared base for DNS speakers living on simulated hosts: datagram
 // parsing, reply plumbing, per-node counters.
 //
-// The receive path runs on the arena codec (dnswire/arena_codec.hpp):
+// The receive path runs on the arena codec (dnswire/codec.hpp):
 // each datagram is decoded into `rx_arena_` as a MessageView, offered
 // to the subclass through on_message_view() (the zero-allocation fast
 // path), and only materialized into a heap Message when the subclass
@@ -13,7 +13,6 @@
 #include <optional>
 
 #include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "netsim/sim.hpp"
@@ -62,11 +61,7 @@ class DnsNode : public netsim::App {
   /// Heap-model dispatch target; `msg` is the successfully parsed
   /// payload, owned by the callee. Default: ignore (for nodes that
   /// consume every message on the view path).
-  virtual void on_message(const netsim::Datagram& dgram,
-                          dnswire::Message msg) {
-    (void)dgram;
-    (void)msg;
-  }
+  virtual void on_message(const netsim::Datagram&, dnswire::Message) {}
 
   netsim::Simulator& sim() { return *sim_; }
 

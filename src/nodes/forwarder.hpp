@@ -4,9 +4,7 @@
 // RecursiveForwarder: an application-level relay. It replaces the
 // client's source address with its own, so responses flow back through
 // it — it can cache and (mis)behave like a middlebox. It relays on
-// decoded views, like ForwarderBank: the upstream answer goes back
-// under the client's ID, with rewrite / strip applied to an arena copy
-// of its answers.
+// decoded views (relayed_answer), like ForwarderBank.
 //
 // TransparentForwarder: an IP-level relay that preserves the client's
 // source address. The response bypasses it entirely. It is implemented

@@ -36,6 +36,7 @@ void ForwarderBank::add_member(netsim::HostId host, const MemberConfig& mc) {
 }
 
 void ForwarderBank::seal() {
+  pending_.resize(64);
   by_addr_.resize(addr_.size());
   for (std::uint32_t i = 0; i < by_addr_.size(); ++i) by_addr_[i] = i;
   std::sort(by_addr_.begin(), by_addr_.end(),
@@ -120,8 +121,8 @@ void ForwarderBank::handle_response(const netsim::Datagram& dgram,
   const std::uint32_t g =
       static_cast<std::uint32_t>(msg.header.id - 1) * kPortSpan +
       (dgram.dst_port - kPortBase);
-  const std::size_t slot = find_slot(g);
-  if (slot == pending_.size()) return;
+  const std::size_t slot = slot_of(g);
+  if (pending_[slot].g != g) return;
   const Pending p = pending_[slot];
   erase_slot(slot);
   ++stats_.upstream_responses;
@@ -167,33 +168,29 @@ std::size_t ForwarderBank::home_of(std::uint32_t g) const {
          (pending_.size() - 1);
 }
 
-std::size_t ForwarderBank::find_slot(std::uint32_t g) const {
-  if (pending_.empty()) return 0;
-  for (std::size_t slot = home_of(g);;
-       slot = (slot + 1) & (pending_.size() - 1)) {
-    if (pending_[slot].g == g) return slot;
-    if (pending_[slot].g == kFree) return pending_.size();
+std::size_t ForwarderBank::slot_of(std::uint32_t g) const {
+  std::size_t slot = home_of(g);
+  while (pending_[slot].g != kFree && pending_[slot].g != g) {
+    slot = (slot + 1) & (pending_.size() - 1);
   }
+  return slot;
 }
 
 ForwarderBank::Pending& ForwarderBank::insert_slot(std::uint32_t g) {
   if ((pending_count_ + 1) * 2 > pending_.size()) {
     // Grow at half load: rehash every live entry into a table twice as
     // large (the only allocation on this path).
-    std::vector<Pending> old(std::max<std::size_t>(64, pending_.size() * 2));
+    std::vector<Pending> old(pending_.size() * 2);
     old.swap(pending_);
     pending_count_ = 0;
     for (const Pending& p : old) {
       if (p.g != kFree) insert_slot(p.g) = p;
     }
   }
-  std::size_t slot = home_of(g);
-  while (pending_[slot].g != kFree && pending_[slot].g != g) {
-    slot = (slot + 1) & (pending_.size() - 1);
-  }
-  if (pending_[slot].g == kFree) ++pending_count_;
-  pending_[slot].g = g;
-  return pending_[slot];
+  Pending& p = pending_[slot_of(g)];
+  if (p.g == kFree) ++pending_count_;
+  p.g = g;
+  return p;
 }
 
 void ForwarderBank::erase_slot(std::size_t slot) {

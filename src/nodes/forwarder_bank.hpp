@@ -19,18 +19,16 @@
 // independent of cross-member event interleaving and byte-identical
 // for every shard count.
 //
-// Packet path: every datagram is decoded into one WireArena as a
-// MessageView, and both relays encode a view into the same arena — the
-// upstream query is the client's question under the member's tuple,
-// the answer is the upstream response itself under the client's ID,
-// with rewrite / strip applied to an arena copy of its answers. No
-// heap Message is built and, once warmed, nothing is allocated.
+// Packet path: datagrams are decoded into one WireArena and both relays
+// encode views into it (the client's question under the member's
+// tuple; the upstream answer under the client's ID, see
+// relayed_answer), so a warmed bank relays without allocating.
 
 #include <cstdint>
 #include <vector>
 
 #include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
+#include "dnswire/codec.hpp"
 #include "netsim/sim.hpp"
 #include "nodes/forwarder.hpp"
 
@@ -96,7 +94,8 @@ class ForwarderBank final : public netsim::App {
   // backward-shift deletion, so entries live in one flat array (no
   // per-query node) sized by the in-flight window, not the members.
   [[nodiscard]] std::size_t home_of(std::uint32_t g) const;
-  [[nodiscard]] std::size_t find_slot(std::uint32_t g) const;
+  /// The slot holding `g`, or the free slot where it would go.
+  [[nodiscard]] std::size_t slot_of(std::uint32_t g) const;
   Pending& insert_slot(std::uint32_t g);
   void erase_slot(std::size_t slot);
 
@@ -114,7 +113,7 @@ class ForwarderBank final : public netsim::App {
   std::vector<std::uint32_t> by_addr_;
   bool sealed_ = false;
 
-  std::vector<Pending> pending_;  // power-of-two capacity
+  std::vector<Pending> pending_;  // power-of-two capacity, sized by seal()
   std::size_t pending_count_ = 0;
   std::size_t sweep_at_ = 64;
   dnswire::WireArena arena_;  // decode + encode, reset per datagram

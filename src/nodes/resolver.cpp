@@ -32,12 +32,8 @@ std::uint32_t negative_ttl_of(const MessageView& msg) {
 /// The 0x20 echo check: the same labels, byte for byte (case
 /// included) — not merely the same dotted text.
 bool same_labels_exact(const dnswire::NameView& got, const Name& sent) {
-  const auto& labels = sent.labels();
-  if (got.labels.size() != labels.size()) return false;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (got.labels[i] != labels[i]) return false;
-  }
-  return true;
+  return std::equal(got.labels.begin(), got.labels.end(),
+                    sent.labels().begin(), sent.labels().end());
 }
 
 }  // namespace
@@ -135,8 +131,8 @@ void RecursiveResolver::handle_client_query(const netsim::Datagram& dgram,
   // rewritten to the decayed remainder.
   if (auto hit = cache_.find(NameKey(q.name.labels, q.type), sim().now())) {
     ++stats_.answered_from_cache;
-    MessageView resp =
-        dnswire::make_response(msg, hit->negative ? hit->rcode : Rcode::noerror);
+    MessageView resp = dnswire::make_response(
+        msg, hit->negative ? hit->rcode : Rcode::noerror);
     resp.header.ra = true;
     resp.answers = hit->answer_views(scratch_arena());
     send_client_response(dgram.src, dgram.src_port, resp,

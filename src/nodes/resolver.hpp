@@ -7,12 +7,9 @@
 // sources outside their allow list — which is why transparent
 // forwarders must relay to *open* resolvers to act as ODNS components.
 //
-// Every datagram is handled on its decoded view (DnsNode's
-// on_message_view): client queries — FORMERR, ACL refusal, cache hits,
-// RRL pass/slip/drop — and the replies of respond_all are built as
-// views over the request and the cache and encoded once, with no heap
-// Message. Only a full resolution (a cache miss) allocates: its task,
-// the upstream bookkeeping, and the records it caches.
+// Every datagram is handled on its decoded view, and every reply is a
+// view over the request, the cache or the task: only a full resolution
+// allocates (its task, upstream bookkeeping and cached records).
 
 #include <cstdint>
 #include <functional>

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <type_traits>
 
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 
 namespace odns::scan {

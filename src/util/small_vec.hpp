@@ -1,14 +1,15 @@
 #pragma once
-// A vector of trivially copyable values that keeps its first N
-// elements inline and moves to the heap only past N. The census
-// records a couple of A answers per response; holding them inline
-// means capturing, correlating and classifying a response allocates
-// nothing.
+// A vector of trivially copyable values that keeps up to N elements
+// inline and moves to the heap only past N, in 16 bytes for N = 2
+// addresses (a std::vector alone takes 24). The census records a
+// couple of A answers per response; holding them inline means
+// capturing, correlating and classifying a response allocates nothing,
+// and the correlator's in-flight window stays as small as before.
 
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <initializer_list>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
@@ -16,63 +17,48 @@ namespace odns::util {
 
 template <typename T, std::size_t N>
 class SmallVec {
-  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(std::is_trivially_copyable_v<T> && N > 0);
 
  public:
-  using value_type = T;
-  using iterator = T*;
-  using const_iterator = const T*;
-
   SmallVec() = default;
-  SmallVec(const SmallVec&) = default;
-  SmallVec& operator=(const SmallVec&) = default;
-  /// A moved-from SmallVec is empty.
-  SmallVec(SmallVec&& o) noexcept
-      : inline_(o.inline_), spill_(std::move(o.spill_)), size_(o.size_) {
-    o.clear();
-  }
-  SmallVec& operator=(SmallVec&& o) noexcept {
-    inline_ = o.inline_;
-    spill_ = std::move(o.spill_);
-    size_ = o.size_;
-    o.clear();
-    return *this;
-  }
-  SmallVec(std::initializer_list<T> values) {
-    for (const T& v : values) push_back(v);
-  }
   SmallVec(const std::vector<T>& values) {  // NOLINT: implicit on purpose
     for (const T& v : values) push_back(v);
   }
+  SmallVec(const SmallVec& o) { *this = o; }
+  SmallVec& operator=(const SmallVec& o) {
+    if (this == &o) return *this;
+    size_ = 0;
+    for (const T& v : o) push_back(v);
+    return *this;
+  }
+  /// A moved-from SmallVec is empty.
+  SmallVec(SmallVec&& o) noexcept { *this = std::move(o); }
+  SmallVec& operator=(SmallVec&& o) noexcept {
+    if (this == &o) return *this;
+    release();
+    size_ = o.size_;
+    cap_ = o.cap_;
+    if (o.on_heap()) {
+      heap_ = o.heap_;
+    } else {
+      inline_ = o.inline_;
+    }
+    o.size_ = 0;
+    o.cap_ = N;
+    return *this;
+  }
+  ~SmallVec() { release(); }
 
   void push_back(const T& v) {
-    if (size_ < N) {
-      inline_[size_] = v;
-    } else {
-      // Past N every element lives in spill_, which keeps its
-      // capacity across clear().
-      if (size_ == N) spill_.assign(inline_.begin(), inline_.end());
-      spill_.push_back(v);
-    }
-    ++size_;
-  }
-  void clear() {
-    spill_.clear();
-    size_ = 0;
+    if (size_ == cap_) grow();
+    data()[size_++] = v;
   }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] T* data() { return size_ <= N ? inline_.data() : spill_.data(); }
-  [[nodiscard]] const T* data() const {
-    return size_ <= N ? inline_.data() : spill_.data();
-  }
-  [[nodiscard]] T* begin() { return data(); }
-  [[nodiscard]] T* end() { return data() + size_; }
   [[nodiscard]] const T* begin() const { return data(); }
   [[nodiscard]] const T* end() const { return data() + size_; }
   [[nodiscard]] const T& operator[](std::size_t i) const { return data()[i]; }
-  [[nodiscard]] T& operator[](std::size_t i) { return data()[i]; }
   [[nodiscard]] const T& front() const { return data()[0]; }
 
   friend bool operator==(const SmallVec& a, const SmallVec& b) {
@@ -80,9 +66,30 @@ class SmallVec {
   }
 
  private:
-  std::array<T, N> inline_{};
-  std::vector<T> spill_;
-  std::size_t size_ = 0;
+  [[nodiscard]] bool on_heap() const { return cap_ > N; }
+  [[nodiscard]] T* data() { return on_heap() ? heap_ : inline_.data(); }
+  [[nodiscard]] const T* data() const {
+    return on_heap() ? heap_ : inline_.data();
+  }
+  void grow() {
+    T* bigger = new T[cap_ * 2];
+    std::copy_n(data(), size_, bigger);
+    if (on_heap()) delete[] heap_;
+    heap_ = bigger;
+    cap_ *= 2;
+  }
+  void release() {
+    if (on_heap()) delete[] heap_;
+    size_ = 0;
+    cap_ = N;
+  }
+
+  union {
+    std::array<T, N> inline_{};
+    T* heap_;
+  };
+  std::uint32_t size_ = 0;
+  std::uint32_t cap_ = N;
 };
 
 }  // namespace odns::util

@@ -2,11 +2,11 @@
 // "Zero-allocation wire path"): after warm-up, the serving hot path —
 // decode_into → AuthServer::build_mirror_response → encode_into — must
 // perform ZERO heap allocations per message, and a whole faulted
-// streaming census stays under a per-packet allocation ceiling. This binary replaces the
-// global operator new/delete with counting versions feeding
-// test::allocaudit (declared in testutil.hpp); no other test binary
-// defines the replacements, so the rest of the suite runs on the stock
-// allocator.
+// streaming census stays under a per-packet allocation ceiling. This
+// binary replaces the global operator new/delete with counting versions
+// feeding test::allocaudit (declared in testutil.hpp); no other test
+// binary defines the replacements, so the rest of the suite runs on the
+// stock allocator.
 //
 // The loop body deliberately avoids gtest assertions (they may touch
 // the heap); it accumulates plain counters and asserts after the scope
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "core/census.hpp"

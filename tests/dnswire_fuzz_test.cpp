@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "util/hash.hpp"
