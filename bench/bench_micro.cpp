@@ -6,7 +6,6 @@
 #include <benchmark/benchmark.h>
 
 #include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "netsim/event_queue.hpp"
 #include "nodes/cache.hpp"

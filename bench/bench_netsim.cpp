@@ -122,7 +122,6 @@
 #include "core/census.hpp"
 #include "dnsroute/dnsroute.hpp"
 #include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "honeypot/lab.hpp"
