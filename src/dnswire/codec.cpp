@@ -499,12 +499,8 @@ ResourceRecord materialize(const RecordView& rr) {
 }
 
 bool NameView::equals(const Name& other) const {
-  const auto& theirs = other.labels();
-  if (labels.size() != theirs.size()) return false;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (!util::iequals_ascii(labels[i], theirs[i])) return false;
-  }
-  return true;
+  return std::equal(labels.begin(), labels.end(), other.labels().begin(),
+                    other.labels().end(), util::iequals_ascii);
 }
 
 std::size_t NameView::wire_length() const {

@@ -1,16 +1,11 @@
 #pragma once
 // The DNS wire codec (RFC 1035 §4). decode_into() parses a datagram
-// into a MessageView — labels are string_views into the wire buffer,
-// record sections are arena-backed spans, no per-RR vectors — and
-// encode_into() serializes a MessageView with name compression to every
-// owner name and to names inside NS/CNAME/PTR/SOA rdata. Decoding is
-// fully bounds-checked: malformed input yields an error, never UB — DNS
-// parsers face attacker-controlled bytes. The census packet path
-// (DnsNode, ForwarderBank, CaptureVantage) runs the views without
-// building a heap Message; decode() and encode() wrap the same codec
-// for heap-model callers (decode = materialize(decode_into), encode =
-// encode_into(view_of)). tests/dnswire_differential_test.cpp and
-// tests/dnswire_fuzz_test.cpp pin its output and verdicts.
+// into a MessageView (labels view the wire, sections live in the arena)
+// and encode_into() serializes one with name compression. Decoding is
+// fully bounds-checked: malformed input yields an error, never UB. The
+// census packet path runs on views; decode()/encode() wrap the same
+// codec for heap-model callers. tests/dnswire_differential_test.cpp
+// and tests/dnswire_fuzz_test.cpp pin its output and verdicts.
 //
 // Lifetime rules: every pointer inside a MessageView aims either at
 // the wire buffer passed to decode_into() or at the WireArena, so a

@@ -79,9 +79,8 @@ struct Simulator::Shard final : private PacketSink {
   std::vector<SpscMailbox> inbox;  // indexed by source shard
   std::vector<Datagram> batch_dgrams;  // deliver_batch scratch
   /// Recycled UDP payload buffers: a span send_udp fills one, and a
-  /// delivered or dropped packet hands its buffer back, so a warmed
-  /// shard sends without touching the heap. A buffer freed on another
-  /// shard than it was filled on joins that shard's pool.
+  /// delivered or dropped packet returns its buffer to the shard it
+  /// dies on.
   std::vector<std::vector<std::uint8_t>> payload_pool;
 };
 

@@ -299,9 +299,8 @@ class Simulator {
   /// host's first address. From inside a handler, must be called on
   /// the shard that owns `from` (apps always are).
   void send_udp(HostId from, SendOptions opts);
-  /// As above with the payload copied from `payload` into a buffer
-  /// recycled on the sending shard (opts.payload is ignored): the
-  /// allocation-free send for callers that encode into an arena.
+  /// As above, copying `payload` into a buffer recycled on the sending
+  /// shard (opts.payload is ignored).
   void send_udp(HostId from, SendOptions opts,
                 std::span<const std::uint8_t> payload);
 
@@ -437,8 +436,7 @@ class Simulator {
   /// (which must own the origin). `from_router` marks infrastructure-
   /// originated traffic (ICMP), which is exempt from SAV.
   void send_on(Shard& sh, HostId from, SendOptions&& opts);
-  /// Returns `pkt`'s payload buffer to `sh`'s pool (see
-  /// Shard::payload_pool).
+  /// Returns `pkt`'s payload buffer to `sh`'s pool.
   static void recycle_payload(Shard& sh, Packet& pkt);
   /// `bytes` in a buffer taken from `sh`'s pool (fresh when empty).
   static std::vector<std::uint8_t> pooled_copy(

@@ -1,10 +1,8 @@
 #pragma once
-// A vector of trivially copyable values that keeps up to N elements
-// inline and moves to the heap only past N, in 16 bytes for N = 2
-// addresses (a std::vector alone takes 24). The census records a
-// couple of A answers per response; holding them inline means
-// capturing, correlating and classifying a response allocates nothing,
-// and the correlator's in-flight window stays as small as before.
+// A vector of trivially copyable values kept inline up to N elements
+// and on the heap past N: 16 bytes for two IPv4 addresses (a
+// std::vector alone takes 24), so recording a response's A answers
+// allocates nothing and the correlator's window does not grow.
 
 #include <algorithm>
 #include <array>
