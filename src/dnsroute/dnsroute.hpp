@@ -81,6 +81,8 @@ class DnsroutePlusPlus : public netsim::App, public netsim::TimerTarget {
   /// until all probes are answered or settled.
   std::vector<TracePath> run(const std::vector<util::Ipv4>& targets);
 
+  /// Answer hook: decodes into the thread's leased rx arena
+  /// (dnswire/arena.hpp); the tracer keeps no arena of its own.
   void on_datagram(const netsim::Datagram& dgram) override;
   /// Probe-pacing timer: sends the probes due now (the tracer's next
   /// probe number onward), then arms the next send instant. One timer
@@ -106,7 +108,6 @@ class DnsroutePlusPlus : public netsim::App, public netsim::TimerTarget {
   util::Duration gap_;
   /// The A query for cfg_.qname, encoded once; bytes 0..1 are the TXID.
   std::vector<std::uint8_t> query_;
-  dnswire::WireArena arena_;  // answer views, reset per datagram
   std::vector<TracePath> paths_;
   std::uint64_t run_first_ = 0;  // probe number of this run's first probe
   std::uint64_t run_end_ = 0;    // one past this run's last probe number

@@ -2,15 +2,19 @@
 // Bump allocator backing the zero-allocation wire codec
 // (codec.hpp). A WireArena owns a chain of chunks; reset()
 // rewinds the cursor but keeps every chunk, so a warmed arena serves
-// an unbounded message stream without touching the heap again. See
-// docs/architecture.md, "Zero-allocation wire path" for the lifetime
-// rules.
+// an unbounded message stream without touching the heap again.
+//
+// The packet path owns no arena of its own: every packet handler
+// leases its thread's ArenaSet (ArenaLease below) on entry. See
+// docs/architecture.md, "The zero-allocation wire path" for the
+// lifetime and no-nesting rules.
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
 #include <span>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -33,13 +37,13 @@ class WireArena {
   /// chunk when the current one is exhausted).
   void* alloc_bytes(std::size_t size, std::size_t align) {
     if (chunk_ < chunks_.size()) {
-      const std::size_t aligned = align_up(offset_, align);
+      const std::size_t aligned = (offset_ + align - 1) & ~(align - 1);
       if (aligned + size <= chunks_[chunk_].size) {
         offset_ = aligned + size;
         return chunks_[chunk_].data.get() + aligned;
       }
     }
-    return alloc_slow(size, align);
+    return alloc_slow(size);
   }
 
   /// Typed array allocation; elements are default-constructed. Only
@@ -71,48 +75,71 @@ class WireArena {
     std::size_t size = 0;
   };
 
-  // Chunks grow geometrically from kMinChunkSize up to kMaxChunkSize.
-  // Most arenas belong to simulated edge nodes that only ever see
-  // ~100-byte DNS messages; a fixed 64 KiB first chunk retained per
-  // node dominated peak RSS at million-host scale (hundreds of
-  // thousands of probed resolvers x 2-3 arenas each). Busy nodes reach
-  // the 64 KiB steady-state chunk within a few messages, so warmed
-  // throughput is unchanged.
-  static constexpr std::size_t kMinChunkSize = 512;
-  static constexpr std::size_t kMaxChunkSize = 64 * 1024;
+  // One chunk size: a DNS message and its views fit one chunk; a
+  // larger request gets a chunk of its own size.
+  static constexpr std::size_t kChunkSize = 4096;
 
-  static std::size_t align_up(std::size_t v, std::size_t align) {
-    return (v + align - 1) & ~(align - 1);
-  }
-
-  void* alloc_slow(std::size_t size, std::size_t align) {
+  // A chunk start is aligned for any arena type (operator new[]).
+  void* alloc_slow(std::size_t size) {
     // Advance through retained chunks before growing a new one.
     while (chunk_ + 1 < chunks_.size()) {
       ++chunk_;
       offset_ = 0;
-      const std::size_t aligned = align_up(offset_, align);
-      if (aligned + size <= chunks_[chunk_].size) {
-        offset_ = aligned + size;
-        return chunks_[chunk_].data.get() + aligned;
+      if (size <= chunks_[chunk_].size) {
+        offset_ = size;
+        return chunks_[chunk_].data.get();
       }
     }
-    std::size_t grow = chunks_.empty() ? kMinChunkSize
-                                       : chunks_.back().size * 2;
-    if (grow > kMaxChunkSize) grow = kMaxChunkSize;
-    const std::size_t want = size + align > grow ? size + align : grow;
-    Chunk c;
-    c.data = std::make_unique<std::byte[]>(want);
-    c.size = want;
-    chunks_.push_back(std::move(c));
+    const std::size_t want = size > kChunkSize ? size : kChunkSize;
+    chunks_.push_back(
+        {std::make_unique_for_overwrite<std::byte[]>(want), want});
     chunk_ = chunks_.size() - 1;
-    const std::size_t aligned = align_up(0, align);
-    offset_ = aligned + size;
-    return chunks_[chunk_].data.get() + aligned;
+    offset_ = size;
+    return chunks_[chunk_].data.get();
   }
 
   std::vector<Chunk> chunks_;
   std::size_t chunk_ = 0;
   std::size_t offset_ = 0;
+};
+
+/// The packet path's arenas, one set per thread. A packet handler
+/// leases its thread's set on entry (ArenaLease): `rx` holds the
+/// decoded datagram, `scratch` the views the handler builds, `tx` the
+/// encoded datagram (reset per send). A thread runs one handler at a
+/// time and delivery goes through the event queue, so a view dies at
+/// the next handler entry on its thread.
+struct ArenaSet {
+  WireArena rx;
+  WireArena tx;
+  WireArena scratch;
+  bool leased = false;
+
+  static ArenaSet& this_thread() {
+    static thread_local ArenaSet set;
+    return set;
+  }
+};
+
+/// A handler's hold on ArenaSet::this_thread(), from entry to return:
+/// resets rx and scratch; throws std::logic_error while another
+/// handler on this thread holds the set.
+class ArenaLease {
+ public:
+  ArenaLease() : set_(ArenaSet::this_thread()) {
+    if (set_.leased) throw std::logic_error("ArenaLease: nested handlers");
+    set_.leased = true;
+    set_.rx.reset();
+    set_.scratch.reset();
+  }
+  ~ArenaLease() { set_.leased = false; }
+  ArenaLease(const ArenaLease&) = delete;
+  ArenaLease& operator=(const ArenaLease&) = delete;
+  ArenaSet& operator*() const { return set_; }
+  ArenaSet* operator->() const { return &set_; }
+
+ private:
+  ArenaSet& set_;
 };
 
 }  // namespace odns::dnswire

@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "dnswire/types.hpp"
@@ -97,7 +98,7 @@ class NameKey {
 
 /// Transparent hash for maps keyed by NameKey bytes held in a
 /// std::string: find() takes the key's string_view, so a lookup never
-/// allocates. Pair it with std::equal_to<>.
+/// allocates.
 struct NameKeyHash {
   using is_transparent = void;
   std::size_t operator()(std::string_view bytes) const noexcept {
@@ -105,11 +106,9 @@ struct NameKeyHash {
   }
 };
 
-}  // namespace odns::dnswire
+/// A map keyed by NameKey bytes, looked up without building a string.
+template <typename T>
+using NameKeyMap =
+    std::unordered_map<std::string, T, NameKeyHash, std::equal_to<>>;
 
-template <>
-struct std::hash<odns::dnswire::Name> {
-  std::size_t operator()(const odns::dnswire::Name& n) const noexcept {
-    return std::hash<std::string>{}(n.canonical());
-  }
-};
+}  // namespace odns::dnswire

@@ -6,17 +6,15 @@ namespace odns::nodes {
 
 using dnswire::Message;
 using dnswire::Name;
+using dnswire::NameKey;
 using dnswire::Rcode;
 using dnswire::ResourceRecord;
 using dnswire::RrType;
 
-std::string Zone::key(const Name& n, RrType t) {
-  return n.canonical() + "/" + std::to_string(static_cast<std::uint16_t>(t));
-}
-
 void Zone::add_record(ResourceRecord rr) {
-  names_[rr.name.canonical()] = true;
-  rrsets_[key(rr.name, rr.type)].push_back(std::move(rr));
+  names_.emplace(NameKey(rr.name.labels(), RrType::any).bytes(), true);
+  rrsets_[std::string(NameKey(rr.name.labels(), rr.type).bytes())].push_back(
+      std::move(rr));
 }
 
 void Zone::add_a(const std::string& name, util::Ipv4 addr, std::uint32_t ttl) {
@@ -45,12 +43,12 @@ void Zone::delegate(const Name& child, const Name& ns_host,
 
 const std::vector<ResourceRecord>* Zone::find(const Name& name,
                                               RrType type) const {
-  auto it = rrsets_.find(key(name, type));
+  auto it = rrsets_.find(NameKey(name.labels(), type).bytes());
   return it == rrsets_.end() ? nullptr : &it->second;
 }
 
 bool Zone::has_name(const Name& name) const {
-  return names_.contains(name.canonical());
+  return names_.contains(NameKey(name.labels(), RrType::any).bytes());
 }
 
 const Delegation* Zone::find_delegation(const Name& name) const {

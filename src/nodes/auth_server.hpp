@@ -7,10 +7,8 @@
 // (2) a static control A record used to detect in-path manipulation.
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "nodes/dns_node.hpp"
@@ -44,9 +42,10 @@ struct Zone {
       const dnswire::Name& name) const;
 
  private:
-  static std::string key(const dnswire::Name& n, dnswire::RrType t);
-  std::unordered_map<std::string, std::vector<dnswire::ResourceRecord>> rrsets_;
-  std::unordered_map<std::string, bool> names_;
+  // Keyed by NameKey bytes, so ["a.b","c"] and ["a","b","c"] stay
+  // apart; names_ keys each owner name under RrType::any.
+  dnswire::NameKeyMap<std::vector<dnswire::ResourceRecord>> rrsets_;
+  dnswire::NameKeyMap<bool> names_;
 };
 
 /// Recursive-mirror configuration (§4.1 / Fig. 7).

@@ -4,10 +4,8 @@
 // feed the paper's Table 2 (method cost comparison).
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "dnswire/arena.hpp"
@@ -93,9 +91,7 @@ class DnsCache {
   /// Keyed by NameKey bytes (lower-cased wire name + type): equal keys
   /// are equal label sequences, so a hash collision or a label holding
   /// a literal '.' cannot make two names share an entry.
-  std::unordered_map<std::string, Entry, dnswire::NameKeyHash,
-                     std::equal_to<>>
-      entries_;
+  dnswire::NameKeyMap<Entry> entries_;
   CacheStats stats_;
 };
 

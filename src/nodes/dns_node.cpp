@@ -4,10 +4,9 @@ namespace odns::nodes {
 
 void DnsNode::on_datagram(const netsim::Datagram& dgram) {
   ++counters_.datagrams_in;
-  rx_arena_.reset();
-  scratch_arena_.reset();
+  const dnswire::ArenaLease arenas;
   auto parsed = dnswire::decode_into(
-      rx_arena_, std::span<const std::uint8_t>(*dgram.payload));
+      arenas->rx, std::span<const std::uint8_t>(*dgram.payload));
   if (!parsed) {
     ++counters_.parse_errors;
     return;
@@ -27,15 +26,16 @@ void DnsNode::send_message(util::Ipv4 dst, std::uint16_t src_port,
                            std::optional<util::Ipv4> src_override) {
   // view_of borrows the Message's own label storage, so nothing is
   // copied on the way in.
-  tx_arena_.reset();
-  send_encoded(dst, src_port, dst_port, dnswire::view_of(tx_arena_, msg),
+  dnswire::WireArena& tx = dnswire::ArenaSet::this_thread().tx;
+  tx.reset();
+  send_encoded(dst, src_port, dst_port, dnswire::view_of(tx, msg),
                src_override);
 }
 
 void DnsNode::send_view(util::Ipv4 dst, std::uint16_t src_port,
                         std::uint16_t dst_port, const dnswire::MessageView& msg,
                         std::optional<util::Ipv4> src_override) {
-  tx_arena_.reset();
+  dnswire::ArenaSet::this_thread().tx.reset();
   send_encoded(dst, src_port, dst_port, msg, src_override);
 }
 
@@ -53,7 +53,9 @@ void DnsNode::send_encoded(util::Ipv4 dst, std::uint16_t src_port,
   } else {
     ++counters_.queries_out;
   }
-  sim_->send_udp(host_, std::move(opts), dnswire::encode_into(tx_arena_, msg));
+  sim_->send_udp(host_, std::move(opts),
+                 dnswire::encode_into(dnswire::ArenaSet::this_thread().tx,
+                                      msg));
 }
 
 void DnsNode::reply(const netsim::Datagram& dgram, const dnswire::Message& msg,

@@ -2,12 +2,12 @@
 // Shared base for DNS speakers living on simulated hosts: datagram
 // parsing, reply plumbing, per-node counters.
 //
-// The receive path runs on the arena codec (dnswire/codec.hpp):
-// each datagram is decoded into `rx_arena_` as a MessageView, offered
-// to the subclass through on_message_view() (the zero-allocation fast
-// path), and only materialized into a heap Message when the subclass
-// declines. Replies encode through `tx_arena_`; both arenas are reset
-// per message, so after warm-up neither touches the heap.
+// The receive path runs on the arena codec (dnswire/codec.hpp): each
+// datagram is decoded into the rx arena of the thread's leased
+// ArenaSet (dnswire/arena.hpp), offered to the subclass through
+// on_message_view() (the zero-allocation fast path), and only
+// materialized into a heap Message when the subclass declines.
+// Replies encode through the set's tx arena. A node owns no arena.
 
 #include <cstdint>
 #include <optional>
@@ -85,11 +85,13 @@ class DnsNode : public netsim::App {
                   const dnswire::MessageView& msg,
                   std::optional<util::Ipv4> src_override = std::nullopt);
 
-  /// Scratch arena for building reply views inside on_message_view
-  /// (reset at every datagram entry, after the rx view is dead — do
-  /// not hold rx-backed views across messages). A timer handler may
-  /// reset it too: no view is live there.
-  dnswire::WireArena& scratch_arena() { return scratch_arena_; }
+  /// The thread's scratch arena, for building reply views inside a
+  /// handler (reset at every handler entry — do not hold views across
+  /// messages). A timer handler that builds views takes a
+  /// dnswire::ArenaLease first.
+  static dnswire::WireArena& scratch_arena() {
+    return dnswire::ArenaSet::this_thread().scratch;
+  }
 
   NodeCounters counters_;
 
@@ -100,9 +102,6 @@ class DnsNode : public netsim::App {
 
   netsim::Simulator* sim_;
   netsim::HostId host_;
-  dnswire::WireArena rx_arena_;       // decode_into target, reset per datagram
-  dnswire::WireArena tx_arena_;       // encode_into target, reset per send
-  dnswire::WireArena scratch_arena_;  // reply-view construction
 };
 
 }  // namespace odns::nodes

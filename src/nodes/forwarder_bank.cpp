@@ -59,22 +59,23 @@ std::size_t ForwarderBank::member_of(util::Ipv4 addr) const {
 
 void ForwarderBank::on_datagram(const netsim::Datagram& dgram) {
   assert(sealed_);
-  arena_.reset();
+  const dnswire::ArenaLease arenas;
   const auto parsed = dnswire::decode_into(
-      arena_, std::span<const std::uint8_t>(*dgram.payload));
+      arenas->rx, std::span<const std::uint8_t>(*dgram.payload));
   if (!parsed) return;
   const MessageView& msg = parsed.value();
   if (dgram.dst_port == kDnsPort && !msg.header.qr) {
     const std::size_t member = member_of(dgram.dst);
     if (member == addr_.size()) return;  // not a member address
-    handle_query(dgram, member, msg);
+    handle_query(dgram, member, msg, *arenas);
   } else if (dgram.dst_port != kDnsPort && msg.header.qr) {
-    handle_response(dgram, msg);
+    handle_response(dgram, msg, *arenas);
   }
 }
 
 void ForwarderBank::handle_query(const netsim::Datagram& dgram,
-                                 std::size_t member, const MessageView& msg) {
+                                 std::size_t member, const MessageView& msg,
+                                 dnswire::ArenaSet& arenas) {
   ++stats_.client_queries;
   if (msg.questions.size() != 1) return;  // banks don't answer formerr
 
@@ -99,7 +100,7 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
 
   // The upstream query is a standard recursive query for the client's
   // question (class IN), under the member's tuple.
-  const auto question = arena_.alloc_array<QuestionView>(1);
+  const auto question = arenas.scratch.alloc_array<QuestionView>(1);
   question[0].name = msg.questions.front().name;
   question[0].type = msg.questions.front().type;
   MessageView query;
@@ -111,11 +112,12 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
   opts.src_port = port;
   opts.dst_port = kDnsPort;
   sim_->send_udp(host_[member], std::move(opts),
-                 dnswire::encode_into(arena_, query));
+                 dnswire::encode_into(arenas.tx, query));
 }
 
 void ForwarderBank::handle_response(const netsim::Datagram& dgram,
-                                    const MessageView& msg) {
+                                    const MessageView& msg,
+                                    dnswire::ArenaSet& arenas) {
   // Invert the tuple derivation to recover the pending key directly.
   if (dgram.dst_port < kPortBase || msg.header.id == 0) return;
   const std::uint32_t g =
@@ -136,14 +138,14 @@ void ForwarderBank::handle_response(const netsim::Datagram& dgram,
       (flags & kRewrite) != 0
           ? std::optional<util::Ipv4>(rewrite_target_[p.member])
           : std::nullopt;
-  const MessageView resp = relayed_answer(arena_, msg, p.client_txid, rewrite,
-                                          (flags & kStrip) != 0);
+  const MessageView resp = relayed_answer(
+      arenas.scratch, msg, p.client_txid, rewrite, (flags & kStrip) != 0);
   netsim::SendOptions opts;
   opts.dst = p.client;
   opts.src_port = kDnsPort;
   opts.dst_port = p.client_port;
   sim_->send_udp(host_[p.member], std::move(opts),
-                 dnswire::encode_into(arena_, resp));
+                 dnswire::encode_into(arenas.tx, resp));
 }
 
 void ForwarderBank::sweep_expired() {

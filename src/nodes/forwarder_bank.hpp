@@ -19,10 +19,11 @@
 // independent of cross-member event interleaving and byte-identical
 // for every shard count.
 //
-// Packet path: datagrams are decoded into one WireArena and both relays
-// encode views into it (the client's question under the member's
-// tuple; the upstream answer under the client's ID, see
-// relayed_answer), so a warmed bank relays without allocating.
+// Packet path: datagrams decode into the thread's leased ArenaSet
+// (dnswire/arena.hpp) and both relays encode views through it (the
+// client's question under the member's tuple; the upstream answer
+// under the client's ID, see relayed_answer), so a warmed thread
+// relays without allocating. The bank keeps no arena of its own.
 
 #include <cstdint>
 #include <vector>
@@ -56,7 +57,6 @@ class ForwarderBank final : public netsim::App {
 
   void on_datagram(const netsim::Datagram& dgram) override;
 
-  [[nodiscard]] std::size_t member_count() const { return addr_.size(); }
   [[nodiscard]] const ForwarderStats& stats() const { return stats_; }
   /// Current in-flight upstream queries (bounded by the probe window,
   /// not the member count: entries die on response or expiry sweep).
@@ -85,9 +85,11 @@ class ForwarderBank final : public netsim::App {
 
   [[nodiscard]] std::size_t member_of(util::Ipv4 addr) const;
   void handle_query(const netsim::Datagram& dgram, std::size_t member,
-                    const dnswire::MessageView& msg);
+                    const dnswire::MessageView& msg,
+                    dnswire::ArenaSet& arenas);
   void handle_response(const netsim::Datagram& dgram,
-                       const dnswire::MessageView& msg);
+                       const dnswire::MessageView& msg,
+                       dnswire::ArenaSet& arenas);
   void sweep_expired();
 
   // The pending table: open addressing over g with linear probing and
@@ -116,7 +118,6 @@ class ForwarderBank final : public netsim::App {
   std::vector<Pending> pending_;  // power-of-two capacity, sized by seal()
   std::size_t pending_count_ = 0;
   std::size_t sweep_at_ = 64;
-  dnswire::WireArena arena_;  // decode + encode, reset per datagram
   std::size_t peak_pending_ = 0;
   ForwarderStats stats_;
 };

@@ -252,9 +252,9 @@ void RecursiveResolver::query_current_server(const TaskPtr& task) {
 }
 
 void RecursiveResolver::on_timer(std::uint64_t generation, std::uint64_t key) {
-  // No datagram view is live inside a timer, so the scratch arena the
-  // retry or SERVFAIL replies are built in can start over.
-  scratch_arena().reset();
+  // The retry or SERVFAIL replies are built in the thread's scratch
+  // arena, which this lease resets.
+  const dnswire::ArenaLease arenas;
   auto it = pending_upstream_.find(static_cast<std::uint32_t>(key));
   if (it == pending_upstream_.end()) return;  // answered already
   const TaskPtr task = it->second.task;

@@ -79,7 +79,6 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
 
   [[nodiscard]] const ResolverStats& stats() const { return stats_; }
   [[nodiscard]] const DnsCache& cache() const { return cache_; }
-  DnsCache& cache_mutable() { return cache_; }
   [[nodiscard]] const ResolverConfig& config() const { return cfg_; }
 
   /// (Re)arms response rate limiting — the defense-sweep toggle. A
@@ -163,9 +162,7 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
   ResolverStats stats_;
   /// In-flight resolutions by NameKey of their question: identical
   /// questions (same labels up to case, same type) coalesce.
-  std::unordered_map<std::string, TaskPtr, dnswire::NameKeyHash,
-                     std::equal_to<>>
-      inflight_;
+  dnswire::NameKeyMap<TaskPtr> inflight_;
   std::unordered_map<std::uint32_t, PendingUpstream> pending_upstream_;
   std::uint16_t next_port_ = 49152;
   std::uint64_t next_generation_ = 1;

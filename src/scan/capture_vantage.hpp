@@ -11,7 +11,6 @@
 #include <optional>
 #include <vector>
 
-#include "dnswire/arena.hpp"
 #include "netsim/sim.hpp"
 #include "scan/plan.hpp"
 #include "scan/types.hpp"
@@ -51,9 +50,10 @@ class CaptureVantage : public netsim::App, public netsim::TimerTarget {
   }
   [[nodiscard]] const ScannerStats& stats() const { return stats_; }
 
-  /// The capture hook: decodes the datagram into a view and records
-  /// the ID, rcode and A answers of responses. Non-responses are
-  /// ignored; undecodable payloads count as parse errors.
+  /// The capture hook: decodes the datagram into a view in the
+  /// thread's leased rx arena (dnswire/arena.hpp) and records the ID,
+  /// rcode and A answers of responses. Non-responses are ignored;
+  /// undecodable payloads count as parse errors.
   void on_datagram(const netsim::Datagram& dgram) override;
   /// Probe-pacing timer: sends the probes due now and arms the next
   /// send instant (one timer pending at a time; the words are unused).
@@ -82,7 +82,6 @@ class CaptureVantage : public netsim::App, public netsim::TimerTarget {
   /// The static-qname query; each send patches its TXID into the ID
   /// bytes (empty when qname_for_target names each target).
   std::vector<std::uint8_t> query_;
-  dnswire::WireArena rx_;  // capture decode target, reset per datagram
 };
 
 /// The scan drain protocol: runs `sim` until every planned probe is

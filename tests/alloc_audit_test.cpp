@@ -1,8 +1,9 @@
 // Allocation audit for the arena wire path (docs/architecture.md,
 // "Zero-allocation wire path"): after warm-up, the serving hot path —
 // decode_into → AuthServer::build_mirror_response → encode_into — must
-// perform ZERO heap allocations per message, and a whole faulted
-// streaming census stays under a per-packet allocation ceiling. This
+// perform ZERO heap allocations per message, and two whole censuses (a
+// faulted streaming one and a per-host buffered one) stay under
+// per-packet allocation ceilings. This
 // binary replaces the global operator new/delete with counting versions
 // feeding test::allocaudit (declared in testutil.hpp); no other test
 // binary defines the replacements, so the rest of the suite runs on the
@@ -103,6 +104,12 @@ namespace {
 using test::MiniWorld;
 using test::allocaudit::AllocationScope;
 using util::Ipv4;
+
+// Allocations per simulated packet on the per-host census below,
+// world build excluded: 5.64 when every DnsNode owned three wire
+// arenas (and zone lookups built string keys), 4.47 with one arena set
+// per thread.
+constexpr double kPerHostCeiling = 5.0;
 
 TEST(AllocAudit, CountingAllocatorIsActuallyHooked) {
   // Guards the zero-assertions below against vacuity: if the
@@ -236,6 +243,41 @@ TEST(AllocAudit, StreamingCensusStaysUnderThreeAllocationsPerPacket) {
                             static_cast<double>(packets);
   EXPECT_LE(per_packet, 3.0) << census_allocs - build_allocs
                              << " allocations for " << packets << " packets";
+}
+
+TEST(AllocAudit, PerHostCensusStaysUnderCeilingPerPacket) {
+  // The paper_census shape in miniature: the default census (one
+  // shard, buffered correlation, one node object per simulated host).
+  // Tens of thousands of DnsNodes each see a handful of datagrams, so
+  // per-node wire arenas would cost chunk allocations per node; the
+  // per-thread arena set costs none.
+  core::CensusConfig cfg;
+  cfg.topology.scale = 0.01;
+  cfg.topology.seed = 2021;
+
+  std::uint64_t build_allocs = 0;
+  {
+    AllocationScope scope;
+    auto world = topo::TopologyBuilder::build(cfg.topology);
+    const auto registry =
+        registry::RegistrySnapshot::derive(*world, cfg.registry);
+    build_allocs = scope.allocations_in_scope();
+  }
+  std::uint64_t census_allocs = 0;
+  std::uint64_t packets = 0;
+  {
+    AllocationScope scope;
+    const auto result = core::run_census(cfg);
+    census_allocs = scope.allocations_in_scope();
+    packets = result.degradation.net.sent;
+  }
+  ASSERT_GT(census_allocs, build_allocs);
+  ASSERT_GT(packets, 10000u);
+  const double per_packet = static_cast<double>(census_allocs - build_allocs) /
+                            static_cast<double>(packets);
+  EXPECT_LE(per_packet, kPerHostCeiling)
+      << census_allocs - build_allocs << " allocations for " << packets
+      << " packets";
 }
 
 TEST(AllocAudit, ArenaRetainsChunksAcrossReset) {

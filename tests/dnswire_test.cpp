@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <thread>
+
 #include "dnswire/codec.hpp"
 #include "util/rng.hpp"
 
@@ -331,6 +334,42 @@ TEST_P(CodecFuzzProperty, RandomMessageRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzProperty,
                          ::testing::Values(1, 2, 3, 17, 99));
+
+// ---------------------------------------------------------------------
+// Per-thread arena set
+// ---------------------------------------------------------------------
+
+TEST(ArenaLeaseTest, OneLeasePerThread) {
+  const ArenaSet* mine = nullptr;
+  {
+    const ArenaLease outer;
+    mine = &*outer;
+    EXPECT_THROW(ArenaLease{}, std::logic_error);
+    // Another thread leases its own set meanwhile.
+    const ArenaSet* theirs = nullptr;
+    std::thread([&theirs] {
+      const ArenaLease other;
+      theirs = &*other;
+    }).join();
+    EXPECT_NE(theirs, mine);
+  }
+  const ArenaLease again;  // released when `outer` died
+  EXPECT_EQ(&*again, mine);
+}
+
+TEST(ArenaLeaseTest, LeaseResetsRxAndScratch) {
+  ArenaSet& set = ArenaSet::this_thread();
+  const void* rx = nullptr;
+  const void* scratch = nullptr;
+  {
+    const ArenaLease lease;
+    rx = lease->rx.alloc_array<std::uint8_t>(8).data();
+    scratch = lease->scratch.alloc_array<std::uint8_t>(8).data();
+  }
+  const ArenaLease lease;
+  EXPECT_EQ(set.rx.alloc_array<std::uint8_t>(8).data(), rx);
+  EXPECT_EQ(set.scratch.alloc_array<std::uint8_t>(8).data(), scratch);
+}
 
 }  // namespace
 }  // namespace odns::dnswire

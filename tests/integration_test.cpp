@@ -32,21 +32,6 @@ CensusConfig full_census_config(std::uint32_t shards = 0) {
   return cfg;
 }
 
-/// Every TracePath field, hop by hop, one path per line.
-std::string render_paths(const std::vector<dnsroute::TracePath>& paths) {
-  std::ostringstream out;
-  for (const auto& p : paths) {
-    out << p.target.to_string() << ' ' << p.target_distance << ' '
-        << p.got_answer << ' ' << p.resolver.to_string() << ' '
-        << p.answer_ttl;
-    for (const auto& hop : p.hops) {
-      out << ' ' << hop.responded << ':' << hop.addr.to_string();
-    }
-    out << '\n';
-  }
-  return out.str();
-}
-
 /// One full census at small scale, shared by all integration tests
 /// (building + scanning once keeps the suite fast).
 class FullCensus : public ::testing::Test {
@@ -219,7 +204,7 @@ TEST_F(FullCensus, DnsroutePathsMatchPinnedDigestAcrossShards) {
     CensusResult census = run_census(full_census_config(shards));
     const auto routes = run_dnsroute(census, /*max_ttl=*/25);
     EXPECT_EQ(routes.paths.size(), 2994u) << "shards=" << shards;
-    EXPECT_EQ(test::text_digest(render_paths(routes.paths)), kGolden)
+    EXPECT_EQ(test::text_digest(test::render_paths(routes.paths)), kGolden)
         << "shards=" << shards;
   }
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "nodes/cache.hpp"
 #include "nodes/ratelimit.hpp"
 #include "testutil.hpp"
@@ -136,7 +138,7 @@ TEST(RateLimiterTest, OneGrantPerWindowPerPrefix) {
   // Different /24: independent budget.
   EXPECT_TRUE(limiter.allow(Ipv4{192, 0, 3, 1}, t0 + Duration::seconds(1)));
   // Window elapses: granted again.
-  EXPECT_TRUE(limiter.allow(Ipv4{192, 0, 2, 7}, t0 + Duration::minutes(5)));
+  EXPECT_TRUE(limiter.allow(Ipv4{198, 51, 100, 7}, t0 + Duration::minutes(5)));
   EXPECT_EQ(limiter.granted(), 3u);
   EXPECT_EQ(limiter.denied(), 1u);
 }
@@ -246,6 +248,67 @@ TEST_F(AuthFixture, QueryLogRecordsClient) {
   query_and_wait(test::kAuthAddr, "scan.odns-study.net");
   ASSERT_EQ(world.auth->query_log().size(), 1u);
   EXPECT_EQ(world.auth->query_log()[0].client, (Ipv4{20, 0, 0, 1}));
+}
+
+TEST_F(AuthFixture, LabelHoldingADotIsAnotherName) {
+  // ["x.y","odns-study","net"] prints like ["x","y","odns-study","net"]
+  // but is another name: the split name's record must not answer it.
+  const auto split = *Name::from_labels({"x", "y", "odns-study", "net"});
+  const auto dotted = *Name::from_labels({"x.y", "odns-study", "net"});
+  world.auth->zone_for_mutable(split)->add_record(
+      ResourceRecord::a(split, Ipv4{198, 51, 100, 7}, 300));
+  stub->query(test::kAuthAddr, dotted);
+  world.sim.run();
+  ASSERT_EQ(stub->responses().size(), 1u);
+  EXPECT_EQ(stub->responses().front().message.header.rcode, Rcode::nxdomain);
+  EXPECT_TRUE(stub->responses().front().message.answers.empty());
+
+  stub->clear();
+  stub->query(test::kAuthAddr, split);
+  world.sim.run();
+  ASSERT_EQ(stub->responses().size(), 1u);
+  const auto addrs = stub->responses().front().message.answer_addresses();
+  ASSERT_EQ(addrs.size(), 1u);
+  EXPECT_EQ(addrs[0], (Ipv4{198, 51, 100, 7}));
+}
+
+// ---------------------------------------------------------------------
+// Per-thread arena set
+// ---------------------------------------------------------------------
+
+/// Runs another node's packet handler inside its own, which the
+/// per-thread arena set forbids.
+class NestingNode : public DnsNode {
+ public:
+  NestingNode(netsim::Simulator& sim, netsim::HostId host, DnsNode& inner)
+      : DnsNode(sim, host), inner_(&inner) {}
+
+ protected:
+  bool on_message_view(const netsim::Datagram& dgram,
+                       const dnswire::MessageView&) override {
+    inner_->on_datagram(dgram);
+    return true;
+  }
+
+ private:
+  DnsNode* inner_;
+};
+
+TEST(ArenaLeaseTest, NestedPacketHandlerThrows) {
+  MiniWorld world;
+  const auto wire = dnswire::encode(
+      dnswire::make_query(7, world.scan_name, RrType::a));
+  netsim::Datagram dgram;
+  dgram.src = test::kScannerAddr;
+  dgram.dst = test::kAuthAddr;
+  dgram.src_port = 40000;
+  dgram.dst_port = kDnsPort;
+  dgram.payload = &wire;
+  NestingNode outer(world.sim, world.scanner_host, *world.auth);
+  EXPECT_THROW(outer.on_datagram(dgram), std::logic_error);
+  // The throw released the outer lease: the next handler runs.
+  EXPECT_NO_THROW(world.auth->on_datagram(dgram));
+  EXPECT_EQ(world.auth->queries_answered(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -472,6 +472,25 @@ TEST(ShardedCensus, FullPipelineMatchesSingleThreadedEngine) {
   EXPECT_EQ(census_for(8), reference);
 }
 
+TEST(ShardedCensus, DnsroutePathsOnThreadedShardsMatchOneShard) {
+  // Census + DNSRoute++ on two worker threads: the capture vantage, the
+  // tracer and every DnsNode decode on their own thread's arena set
+  // (dnswire/arena.hpp), so the paths must equal the one-shard run's.
+  auto paths_for = [](std::uint32_t shards) {
+    core::CensusConfig cfg;
+    cfg.topology.scale = 0.003;
+    cfg.topology.max_countries = 3;
+    cfg.topology.sim.shard_threads = true;
+    cfg.sim_shards = shards;
+    auto census = core::run_census(cfg);
+    const auto routes = core::run_dnsroute(census, /*max_ttl=*/12);
+    EXPECT_GT(routes.paths.size(), 100u) << "shards=" << shards;
+    return test::render_paths(routes.paths);
+  };
+  const std::string reference = paths_for(1);
+  EXPECT_EQ(paths_for(2), reference);
+}
+
 /// One full multi-vantage census fingerprint (census tables + the
 /// correlated-transaction log) for the property comparison below.
 std::string census_for_property(std::uint32_t shards, std::uint32_t vantages,

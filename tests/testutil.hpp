@@ -13,6 +13,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dnsroute/dnsroute.hpp"
 #include "nodes/auth_server.hpp"
 #include "nodes/forwarder.hpp"
 #include "nodes/resolver.hpp"
@@ -51,6 +52,22 @@ inline std::uint64_t text_digest(std::string_view text) {
     h *= util::kFnv1aPrime;
   }
   return h;
+}
+
+/// Every TracePath field, hop by hop, one path per line.
+inline std::string render_paths(
+    const std::vector<dnsroute::TracePath>& paths) {
+  std::ostringstream out;
+  for (const auto& p : paths) {
+    out << p.target.to_string() << ' ' << p.target_distance << ' '
+        << p.got_answer << ' ' << p.resolver.to_string() << ' '
+        << p.answer_ttl;
+    for (const auto& hop : p.hops) {
+      out << ' ' << hop.responded << ':' << hop.addr.to_string();
+    }
+    out << '\n';
+  }
+  return out.str();
 }
 
 /// Records the first argument word of every timer it receives, in
