@@ -134,8 +134,8 @@ void DnsroutePlusPlus::on_icmp(const netsim::Packet& pkt) {
 }
 
 void DnsroutePlusPlus::on_datagram(const netsim::Datagram& dgram) {
-  const dnswire::ArenaLease arenas;
-  auto parsed = dnswire::decode_into(arenas->rx, *dgram.payload);
+  const dnswire::ArenaLease lease;
+  auto parsed = dnswire::decode_into(lease.set.rx, *dgram.payload);
   if (!parsed) return;
   const auto& msg = parsed.value();
   if (!msg.header.qr) return;

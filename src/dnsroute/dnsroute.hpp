@@ -81,8 +81,7 @@ class DnsroutePlusPlus : public netsim::App, public netsim::TimerTarget {
   /// until all probes are answered or settled.
   std::vector<TracePath> run(const std::vector<util::Ipv4>& targets);
 
-  /// Answer hook: decodes into the thread's leased rx arena
-  /// (dnswire/arena.hpp); the tracer keeps no arena of its own.
+  /// Answer hook; decodes into the thread's leased rx arena (arena.hpp).
   void on_datagram(const netsim::Datagram& dgram) override;
   /// Probe-pacing timer: sends the probes due now (the tracer's next
   /// probe number onward), then arms the next send instant. One timer

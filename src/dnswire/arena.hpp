@@ -2,12 +2,9 @@
 // Bump allocator backing the zero-allocation wire codec
 // (codec.hpp). A WireArena owns a chain of chunks; reset()
 // rewinds the cursor but keeps every chunk, so a warmed arena serves
-// an unbounded message stream without touching the heap again.
-//
-// The packet path owns no arena of its own: every packet handler
-// leases its thread's ArenaSet (ArenaLease below) on entry. See
-// docs/architecture.md, "The zero-allocation wire path" for the
-// lifetime and no-nesting rules.
+// an unbounded message stream without touching the heap again. The
+// packet path leases one ArenaSet per thread; docs/architecture.md,
+// "The zero-allocation wire path" has its lifetime and nesting rules.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,25 +30,13 @@ class WireArena {
     offset_ = 0;
   }
 
-  /// Raw aligned allocation. Never fails for sane sizes (grows a new
-  /// chunk when the current one is exhausted).
-  void* alloc_bytes(std::size_t size, std::size_t align) {
-    if (chunk_ < chunks_.size()) {
-      const std::size_t aligned = (offset_ + align - 1) & ~(align - 1);
-      if (aligned + size <= chunks_[chunk_].size) {
-        offset_ = aligned + size;
-        return chunks_[chunk_].data.get() + aligned;
-      }
-    }
-    return alloc_slow(size);
-  }
-
   /// Typed array allocation; elements are default-constructed. Only
   /// trivially destructible types may live in the arena (reset() never
-  /// runs destructors).
+  /// runs destructors), aligned no stricter than a chunk start.
   template <typename T>
   std::span<T> alloc_array(std::size_t n) {
     static_assert(std::is_trivially_destructible_v<T>);
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
     if (n == 0) return {};
     T* mem = static_cast<T*>(alloc_bytes(n * sizeof(T), alignof(T)));
     for (std::size_t i = 0; i < n; ++i) new (mem + i) T();
@@ -59,10 +44,7 @@ class WireArena {
   }
 
   template <typename T>
-  T* alloc() {
-    static_assert(std::is_trivially_destructible_v<T>);
-    return new (alloc_bytes(sizeof(T), alignof(T))) T();
-  }
+  T* alloc() { return alloc_array<T>(1).data(); }
 
   /// Chunks currently owned — stable across reset(); growth after
   /// warm-up is what the allocation audit (tests/alloc_audit_test.cpp)
@@ -79,21 +61,27 @@ class WireArena {
   // larger request gets a chunk of its own size.
   static constexpr std::size_t kChunkSize = 4096;
 
-  // A chunk start is aligned for any arena type (operator new[]).
-  void* alloc_slow(std::size_t size) {
-    // Advance through retained chunks before growing a new one.
-    while (chunk_ + 1 < chunks_.size()) {
-      ++chunk_;
-      offset_ = 0;
-      if (size <= chunks_[chunk_].size) {
-        offset_ = size;
-        return chunks_[chunk_].data.get();
+  void* alloc_bytes(std::size_t size, std::size_t align) {
+    if (chunk_ < chunks_.size()) {
+      const std::size_t aligned = (offset_ + align - 1) & ~(align - 1);
+      if (aligned + size <= chunks_[chunk_].size) {
+        offset_ = aligned + size;
+        return chunks_[chunk_].data.get() + aligned;
       }
     }
-    const std::size_t want = size > kChunkSize ? size : kChunkSize;
-    chunks_.push_back(
-        {std::make_unique_for_overwrite<std::byte[]>(want), want});
-    chunk_ = chunks_.size() - 1;
+    return alloc_slow(size);
+  }
+
+  // Moves to the next retained chunk that fits, else grows one. A
+  // chunk start (operator new[]) is aligned for every arena type.
+  void* alloc_slow(std::size_t size) {
+    if (!chunks_.empty()) ++chunk_;
+    while (chunk_ < chunks_.size() && chunks_[chunk_].size < size) ++chunk_;
+    if (chunk_ == chunks_.size()) {
+      const std::size_t want = size > kChunkSize ? size : kChunkSize;
+      chunks_.push_back(
+          {std::make_unique_for_overwrite<std::byte[]>(want), want});
+    }
     offset_ = size;
     return chunks_[chunk_].data.get();
   }
@@ -103,12 +91,10 @@ class WireArena {
   std::size_t offset_ = 0;
 };
 
-/// The packet path's arenas, one set per thread. A packet handler
-/// leases its thread's set on entry (ArenaLease): `rx` holds the
-/// decoded datagram, `scratch` the views the handler builds, `tx` the
-/// encoded datagram (reset per send). A thread runs one handler at a
-/// time and delivery goes through the event queue, so a view dies at
-/// the next handler entry on its thread.
+/// The packet path's arenas, one set per thread: `rx` holds the decoded
+/// datagram, `scratch` the views a handler builds, `tx` the encoded one.
+/// A thread runs one handler at a time and delivery is queued, so a
+/// view dies at the next handler entry on its thread.
 struct ArenaSet {
   WireArena rx;
   WireArena tx;
@@ -121,25 +107,20 @@ struct ArenaSet {
   }
 };
 
-/// A handler's hold on ArenaSet::this_thread(), from entry to return:
-/// resets rx and scratch; throws std::logic_error while another
+/// A packet handler's hold on its thread's set, from entry to return:
+/// resets the three arenas; throws std::logic_error while another
 /// handler on this thread holds the set.
-class ArenaLease {
- public:
-  ArenaLease() : set_(ArenaSet::this_thread()) {
-    if (set_.leased) throw std::logic_error("ArenaLease: nested handlers");
-    set_.leased = true;
-    set_.rx.reset();
-    set_.scratch.reset();
+struct ArenaLease {
+  ArenaSet& set = ArenaSet::this_thread();
+  ArenaLease() {
+    if (set.leased) throw std::logic_error("ArenaLease: nested handlers");
+    set.leased = true;
+    set.rx.reset();
+    set.tx.reset();
+    set.scratch.reset();
   }
-  ~ArenaLease() { set_.leased = false; }
+  ~ArenaLease() { set.leased = false; }
   ArenaLease(const ArenaLease&) = delete;
-  ArenaLease& operator=(const ArenaLease&) = delete;
-  ArenaSet& operator*() const { return set_; }
-  ArenaSet* operator->() const { return &set_; }
-
- private:
-  ArenaSet& set_;
 };
 
 }  // namespace odns::dnswire

@@ -174,6 +174,16 @@ void Simulator::bind_udp(HostId host, std::uint16_t port, App* app) {
   st.ensure_extra().sockets[port] = app;
 }
 
+void Simulator::unbind_udp(HostId host, std::uint16_t port) {
+  HostState& st = state(host);
+  if (st.app0 != nullptr && st.app0_port == port) {
+    st.app0 = nullptr;
+    st.app0_port = 0;
+    return;
+  }
+  if (st.extra) st.extra->sockets.erase(port);
+}
+
 void Simulator::bind_udp_wildcard(HostId host, App* app) {
   state(host).wildcard = app;
 }
@@ -200,6 +210,17 @@ void Simulator::add_port_redirect(HostId host, std::uint16_t dst_port,
     return;
   }
   st.ensure_extra().redirects[dst_port] = Redirect{target, 0};
+}
+
+void Simulator::remove_port_redirect(HostId host, std::uint16_t dst_port) {
+  HostState& st = state(host);
+  if (st.has_redirect && st.redirect_port == dst_port) {
+    st.has_redirect = false;
+    st.redirect_port = 0;
+    st.redirect_relays = 0;
+    return;
+  }
+  if (st.extra) st.extra->redirects.erase(dst_port);
 }
 
 std::uint64_t Simulator::redirect_relays(HostId host) const {

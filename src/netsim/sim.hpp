@@ -281,6 +281,7 @@ class Simulator {
 
   // --- socket API ----------------------------------------------------
   void bind_udp(HostId host, std::uint16_t port, App* app);
+  void unbind_udp(HostId host, std::uint16_t port);
   /// Receives every datagram not claimed by a port-specific binding;
   /// used by the scanner, which owns thousands of ephemeral ports.
   void bind_udp_wildcard(HostId host, App* app);
@@ -291,6 +292,7 @@ class Simulator {
   /// address preserved (IP-level relay: TTL decremented, not reset).
   void add_port_redirect(HostId host, std::uint16_t dst_port,
                          util::Ipv4 target);
+  void remove_port_redirect(HostId host, std::uint16_t dst_port);
   [[nodiscard]] std::uint64_t redirect_relays(HostId host) const;
 
   /// Sends a UDP datagram from `from`. The source defaults to the

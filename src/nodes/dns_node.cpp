@@ -4,9 +4,9 @@ namespace odns::nodes {
 
 void DnsNode::on_datagram(const netsim::Datagram& dgram) {
   ++counters_.datagrams_in;
-  const dnswire::ArenaLease arenas;
+  const dnswire::ArenaLease lease;
   auto parsed = dnswire::decode_into(
-      arenas->rx, std::span<const std::uint8_t>(*dgram.payload));
+      lease.set.rx, std::span<const std::uint8_t>(*dgram.payload));
   if (!parsed) {
     ++counters_.parse_errors;
     return;
@@ -53,9 +53,8 @@ void DnsNode::send_encoded(util::Ipv4 dst, std::uint16_t src_port,
   } else {
     ++counters_.queries_out;
   }
-  sim_->send_udp(host_, std::move(opts),
-                 dnswire::encode_into(dnswire::ArenaSet::this_thread().tx,
-                                      msg));
+  dnswire::WireArena& tx = dnswire::ArenaSet::this_thread().tx;
+  sim_->send_udp(host_, std::move(opts), dnswire::encode_into(tx, msg));
 }
 
 void DnsNode::reply(const netsim::Datagram& dgram, const dnswire::Message& msg,

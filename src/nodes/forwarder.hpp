@@ -99,6 +99,7 @@ class TransparentForwarder {
 
   /// Installs the port-53 redirect on the device.
   void install() { sim_->add_port_redirect(host_, kDnsPort, resolver_); }
+  void uninstall() { sim_->remove_port_redirect(host_, kDnsPort); }
 
   [[nodiscard]] netsim::HostId host() const { return host_; }
   [[nodiscard]] util::Ipv4 address() const {

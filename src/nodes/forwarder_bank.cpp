@@ -59,23 +59,22 @@ std::size_t ForwarderBank::member_of(util::Ipv4 addr) const {
 
 void ForwarderBank::on_datagram(const netsim::Datagram& dgram) {
   assert(sealed_);
-  const dnswire::ArenaLease arenas;
+  const dnswire::ArenaLease lease;
   const auto parsed = dnswire::decode_into(
-      arenas->rx, std::span<const std::uint8_t>(*dgram.payload));
+      lease.set.rx, std::span<const std::uint8_t>(*dgram.payload));
   if (!parsed) return;
   const MessageView& msg = parsed.value();
   if (dgram.dst_port == kDnsPort && !msg.header.qr) {
     const std::size_t member = member_of(dgram.dst);
     if (member == addr_.size()) return;  // not a member address
-    handle_query(dgram, member, msg, *arenas);
+    handle_query(dgram, member, msg);
   } else if (dgram.dst_port != kDnsPort && msg.header.qr) {
-    handle_response(dgram, msg, *arenas);
+    handle_response(dgram, msg);
   }
 }
 
 void ForwarderBank::handle_query(const netsim::Datagram& dgram,
-                                 std::size_t member, const MessageView& msg,
-                                 dnswire::ArenaSet& arenas) {
+                                 std::size_t member, const MessageView& msg) {
   ++stats_.client_queries;
   if (msg.questions.size() != 1) return;  // banks don't answer formerr
 
@@ -100,6 +99,7 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
 
   // The upstream query is a standard recursive query for the client's
   // question (class IN), under the member's tuple.
+  dnswire::ArenaSet& arenas = dnswire::ArenaSet::this_thread();
   const auto question = arenas.scratch.alloc_array<QuestionView>(1);
   question[0].name = msg.questions.front().name;
   question[0].type = msg.questions.front().type;
@@ -116,8 +116,7 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
 }
 
 void ForwarderBank::handle_response(const netsim::Datagram& dgram,
-                                    const MessageView& msg,
-                                    dnswire::ArenaSet& arenas) {
+                                    const MessageView& msg) {
   // Invert the tuple derivation to recover the pending key directly.
   if (dgram.dst_port < kPortBase || msg.header.id == 0) return;
   const std::uint32_t g =
@@ -138,6 +137,7 @@ void ForwarderBank::handle_response(const netsim::Datagram& dgram,
       (flags & kRewrite) != 0
           ? std::optional<util::Ipv4>(rewrite_target_[p.member])
           : std::nullopt;
+  dnswire::ArenaSet& arenas = dnswire::ArenaSet::this_thread();
   const MessageView resp = relayed_answer(
       arenas.scratch, msg, p.client_txid, rewrite, (flags & kStrip) != 0);
   netsim::SendOptions opts;

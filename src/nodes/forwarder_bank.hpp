@@ -21,9 +21,8 @@
 //
 // Packet path: datagrams decode into the thread's leased ArenaSet
 // (dnswire/arena.hpp) and both relays encode views through it (the
-// client's question under the member's tuple; the upstream answer
-// under the client's ID, see relayed_answer), so a warmed thread
-// relays without allocating. The bank keeps no arena of its own.
+// client's question under the member's tuple; the upstream answer under
+// the client's ID, see relayed_answer): a warmed thread never allocates.
 
 #include <cstdint>
 #include <vector>
@@ -57,6 +56,7 @@ class ForwarderBank final : public netsim::App {
 
   void on_datagram(const netsim::Datagram& dgram) override;
 
+  [[nodiscard]] std::size_t member_count() const { return addr_.size(); }
   [[nodiscard]] const ForwarderStats& stats() const { return stats_; }
   /// Current in-flight upstream queries (bounded by the probe window,
   /// not the member count: entries die on response or expiry sweep).
@@ -85,11 +85,9 @@ class ForwarderBank final : public netsim::App {
 
   [[nodiscard]] std::size_t member_of(util::Ipv4 addr) const;
   void handle_query(const netsim::Datagram& dgram, std::size_t member,
-                    const dnswire::MessageView& msg,
-                    dnswire::ArenaSet& arenas);
+                    const dnswire::MessageView& msg);
   void handle_response(const netsim::Datagram& dgram,
-                       const dnswire::MessageView& msg,
-                       dnswire::ArenaSet& arenas);
+                       const dnswire::MessageView& msg);
   void sweep_expired();
 
   // The pending table: open addressing over g with linear probing and

@@ -254,7 +254,7 @@ void RecursiveResolver::query_current_server(const TaskPtr& task) {
 void RecursiveResolver::on_timer(std::uint64_t generation, std::uint64_t key) {
   // The retry or SERVFAIL replies are built in the thread's scratch
   // arena, which this lease resets.
-  const dnswire::ArenaLease arenas;
+  const dnswire::ArenaLease lease;
   auto it = pending_upstream_.find(static_cast<std::uint32_t>(key));
   if (it == pending_upstream_.end()) return;  // answered already
   const TaskPtr task = it->second.task;

@@ -79,6 +79,7 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
 
   [[nodiscard]] const ResolverStats& stats() const { return stats_; }
   [[nodiscard]] const DnsCache& cache() const { return cache_; }
+  DnsCache& cache_mutable() { return cache_; }
   [[nodiscard]] const ResolverConfig& config() const { return cfg_; }
 
   /// (Re)arms response rate limiting — the defense-sweep toggle. A

@@ -68,8 +68,8 @@ void CaptureVantage::send(const PlannedProbe& probe) {
 }
 
 void CaptureVantage::on_datagram(const netsim::Datagram& dgram) {
-  const dnswire::ArenaLease arenas;
-  auto parsed = dnswire::decode_into(arenas->rx, *dgram.payload);
+  const dnswire::ArenaLease lease;
+  auto parsed = dnswire::decode_into(lease.set.rx, *dgram.payload);
   if (!parsed) {
     // Undecodable captures are counted twice on purpose: parse_errors
     // keeps the classic total, responses_corrupt isolates the wire-

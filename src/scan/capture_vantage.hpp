@@ -50,10 +50,9 @@ class CaptureVantage : public netsim::App, public netsim::TimerTarget {
   }
   [[nodiscard]] const ScannerStats& stats() const { return stats_; }
 
-  /// The capture hook: decodes the datagram into a view in the
-  /// thread's leased rx arena (dnswire/arena.hpp) and records the ID,
-  /// rcode and A answers of responses. Non-responses are ignored;
-  /// undecodable payloads count as parse errors.
+  /// The capture hook: decodes the datagram into the thread's leased rx
+  /// arena and records the ID, rcode and A answers of responses.
+  /// Non-responses are ignored; undecodable payloads count as parse errors.
   void on_datagram(const netsim::Datagram& dgram) override;
   /// Probe-pacing timer: sends the probes due now and arms the next
   /// send instant (one timer pending at a time; the words are unused).

@@ -343,32 +343,47 @@ TEST(ArenaLeaseTest, OneLeasePerThread) {
   const ArenaSet* mine = nullptr;
   {
     const ArenaLease outer;
-    mine = &*outer;
+    mine = &outer.set;
     EXPECT_THROW(ArenaLease{}, std::logic_error);
     // Another thread leases its own set meanwhile.
     const ArenaSet* theirs = nullptr;
     std::thread([&theirs] {
       const ArenaLease other;
-      theirs = &*other;
+      theirs = &other.set;
     }).join();
     EXPECT_NE(theirs, mine);
   }
   const ArenaLease again;  // released when `outer` died
-  EXPECT_EQ(&*again, mine);
+  EXPECT_EQ(&again.set, mine);
 }
 
-TEST(ArenaLeaseTest, LeaseResetsRxAndScratch) {
+TEST(ArenaLeaseTest, LeaseResetsTheSet) {
   ArenaSet& set = ArenaSet::this_thread();
-  const void* rx = nullptr;
-  const void* scratch = nullptr;
+  const void* first[3] = {};
   {
     const ArenaLease lease;
-    rx = lease->rx.alloc_array<std::uint8_t>(8).data();
-    scratch = lease->scratch.alloc_array<std::uint8_t>(8).data();
+    first[0] = lease.set.rx.alloc_array<std::uint8_t>(8).data();
+    first[1] = lease.set.tx.alloc_array<std::uint8_t>(8).data();
+    first[2] = lease.set.scratch.alloc_array<std::uint8_t>(8).data();
   }
   const ArenaLease lease;
-  EXPECT_EQ(set.rx.alloc_array<std::uint8_t>(8).data(), rx);
-  EXPECT_EQ(set.scratch.alloc_array<std::uint8_t>(8).data(), scratch);
+  EXPECT_EQ(set.rx.alloc_array<std::uint8_t>(8).data(), first[0]);
+  EXPECT_EQ(set.tx.alloc_array<std::uint8_t>(8).data(), first[1]);
+  EXPECT_EQ(set.scratch.alloc_array<std::uint8_t>(8).data(), first[2]);
+}
+
+TEST(WireArenaTest, OversizedRequestGetsItsOwnChunk) {
+  WireArena arena;
+  const auto small = arena.alloc_array<std::uint8_t>(16);
+  const auto big = arena.alloc_array<std::uint64_t>(1024);  // 8 KiB
+  EXPECT_EQ(arena.chunk_count(), 2u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(big.data()) % 8, 0u);
+  big[1023] = 7;  // the whole span is writable (ASan checks the bound)
+  // After a reset the same requests land in the same chunks.
+  arena.reset();
+  EXPECT_EQ(arena.alloc_array<std::uint8_t>(16).data(), small.data());
+  EXPECT_EQ(arena.alloc_array<std::uint64_t>(1024).data(), big.data());
+  EXPECT_EQ(arena.chunk_count(), 2u);
 }
 
 }  // namespace

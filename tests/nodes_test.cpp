@@ -138,7 +138,7 @@ TEST(RateLimiterTest, OneGrantPerWindowPerPrefix) {
   // Different /24: independent budget.
   EXPECT_TRUE(limiter.allow(Ipv4{192, 0, 3, 1}, t0 + Duration::seconds(1)));
   // Window elapses: granted again.
-  EXPECT_TRUE(limiter.allow(Ipv4{198, 51, 100, 7}, t0 + Duration::minutes(5)));
+  EXPECT_TRUE(limiter.allow(Ipv4{192, 0, 2, 7}, t0 + Duration::minutes(5)));
   EXPECT_EQ(limiter.granted(), 3u);
   EXPECT_EQ(limiter.denied(), 1u);
 }
